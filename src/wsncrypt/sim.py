@@ -34,6 +34,7 @@ from .topology import (
     validate_topology,
 )
 from .wire import (
+    MAX_PAYLOAD,
     DecodeError,
     Frame,
     ReadingKind,
@@ -64,13 +65,13 @@ class BrokenRouteError(ValueError):
     """A relay path references missing nodes or edges."""
 
 
-class UnknownSinkError(ValueError):
+class UnknownSinkError(DecodeError):
     """Fusion center has no key registered for the frame's sink."""
 
     kind = "unknown_sink"
 
 
-class DecodeAfterDecryptError(ValueError):
+class DecodeAfterDecryptError(DecodeError):
     """Payload decrypted but did not parse as a reading batch (wrong key or
     corrupted-but-checksum-colliding payload)."""
 
@@ -95,6 +96,9 @@ class FrameCorruption:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A complete simulation input; building one validates it, so every
+    SimConfig that exists is runnable.  Raises InvalidConfigError."""
+
     topology: Topology
     sink_keys: Dict[int, bytes]
     registry: Dict[int, bytes]
@@ -103,6 +107,11 @@ class SimConfig:
     sense_period_ticks: int
     hop_latency_ticks: int
     corruption: Tuple[FrameCorruption, ...] = ()
+
+    def __post_init__(self) -> None:
+        problems = _validate_config(self)
+        if problems:
+            raise InvalidConfigError(problems)
 
 
 @dataclass
@@ -191,8 +200,8 @@ def fusion_receive(
 ) -> List[SensorReading]:
     """Decode, key-select, decrypt, and re-parse one received frame.
 
-    Raises the wire DecodeError subclasses, UnknownSinkError, or
-    DecodeAfterDecryptError; callers count those as rejections.
+    Raises a DecodeError subclass (a wire one, UnknownSinkError, or
+    DecodeAfterDecryptError); callers count those as rejections.
     """
     frame = decode_frame(frame_bytes)
     key = registry.get(frame.sink_id)
@@ -209,7 +218,10 @@ def fusion_receive(
 
 
 def _validate_config(config: SimConfig) -> List[str]:
-    problems = validate_topology(config.topology)
+    topology = config.topology
+    problems = validate_topology(topology)
+    if not problems:
+        problems.extend(_oversized_batches(topology))
     if config.duration_ticks < 1:
         problems.append("duration_ticks must be >= 1")
     if config.duration_ticks > 0xFFFFFFFF:
@@ -220,7 +232,7 @@ def _validate_config(config: SimConfig) -> List[str]:
         problems.append("hop_latency_ticks must be >= 1")
     if not 0 <= config.seed < (1 << 64):
         problems.append("seed must fit u64")
-    for sink_id in config.topology.ids_with_role(ROLE_SINK):
+    for sink_id in topology.ids_with_role(ROLE_SINK):
         if sink_id not in config.sink_keys:
             problems.append(f"sink {sink_id} has no key")
     for owner, key in list(config.sink_keys.items()) + list(
@@ -236,10 +248,23 @@ def _validate_config(config: SimConfig) -> List[str]:
     return problems
 
 
-def _sense_period(config: SimConfig, node: NodeSpec) -> int:
-    if node.sense_period_ticks is not None:
-        return node.sense_period_ticks
-    return config.sense_period_ticks
+def _oversized_batches(topology: Topology) -> List[str]:
+    """Hubs whose batch, with every adjacent sensor firing in one tick,
+    would not fit one frame payload.  Needs a valid topology."""
+    nodes = topology.node_map()
+    problems = []
+    for hub_id in topology.ids_with_role(ROLE_HUB):
+        size = 2 + sum(
+            8 + VALUE_LENGTHS[nodes[near].kind]
+            for near in topology.neighbors(hub_id)
+            if nodes[near].role == ROLE_SENSOR
+        )
+        if size > MAX_PAYLOAD:
+            problems.append(
+                f"hub {hub_id} worst-case batch of {size} bytes exceeds"
+                f" {MAX_PAYLOAD}"
+            )
+    return problems
 
 
 def _flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -251,21 +276,24 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
 def run_simulation(config: SimConfig) -> SimReport:
     """Run the full pipeline to quiescence and account for every frame.
 
-    Sensing stops after `duration_ticks`; in-flight batches and frames are
-    drained afterwards so nothing is cut off mid-route.  `fidelity_ok` is
-    true iff the multiset of readings recovered at the fusion center equals
-    the multiset of readings carried by delivered frames.
+    The config was validated when it was built.  Sensing stops after
+    `duration_ticks`; in-flight batches and frames are drained afterwards
+    so nothing is cut off mid-route.  `fidelity_ok` is true iff no frame
+    was rejected and every delivered frame yielded exactly the readings it
+    carried, checked frame by frame.
     """
-    problems = _validate_config(config)
-    if problems:
-        raise InvalidConfigError(problems)
-
     topology = config.topology
     nodes = topology.node_map()
-    sensors = sorted(topology.ids_with_role(ROLE_SENSOR))
-    hub_of = {
-        s: next(iter(topology.neighbors(s) & set(topology.ids_with_role(ROLE_HUB))))
-        for s in sensors
+    hub_ids = set(topology.ids_with_role(ROLE_HUB))
+    sensors = []  # (sensor, period, hub), in sensor id order
+    for sensor_id in sorted(topology.ids_with_role(ROLE_SENSOR)):
+        period = nodes[sensor_id].sense_period_ticks or config.sense_period_ticks
+        (hub_id,) = topology.neighbors(sensor_id) & hub_ids
+        sensors.append((sensor_id, period, hub_id))
+    # ticks from a route's first node to its last; routes never change
+    transit = {
+        owner: relay(b"", route, config.hop_latency_ticks, topology)[-1][1]
+        for owner, route in topology.routes.items()
     }
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
@@ -285,31 +313,29 @@ def run_simulation(config: SimConfig) -> SimReport:
         frames_delivered=0,
         frames_rejected={},
         readings_recovered=0,
-        fidelity_ok=False,
+        fidelity_ok=True,
         per_sink={
             sink: SinkStats() for sink in sorted(topology.ids_with_role(ROLE_SINK))
         },
     )
-    recovered: List[SensorReading] = []
-    expected: List[SensorReading] = []
 
     tick = 1
     while tick <= config.duration_ticks or to_sink or to_fusion:
         if tick <= config.duration_ticks:
-            for sensor_id in sensors:
-                if tick % _sense_period(config, nodes[sensor_id]) == 0:
+            for sensor_id, period, hub_id in sensors:
+                if tick % period == 0:
                     reading = sense(topology, sensor_id, tick, config.seed)
-                    hub_inbox.setdefault(hub_of[sensor_id], []).append(reading)
+                    hub_inbox.setdefault(hub_id, []).append(reading)
                     report.readings_sensed += 1
 
         for hub_id in sorted(hub_inbox):
             batch = hub_inbox[hub_id]
             payload = aggregate(topology, hub_id, batch)
-            route = topology.routes[hub_id]
-            schedule = relay(payload, route, config.hop_latency_ticks, topology)
-            arrival = tick + schedule[-1][1]
-            carried = tuple(sorted(batch, key=lambda r: (r.node_id, r.timestamp)))
-            to_sink.setdefault(arrival, []).append((route[-1], payload, carried))
+            # sorted already: sensors fire in id order, the inbox holds one tick
+            carried = tuple(batch)
+            to_sink.setdefault(tick + transit[hub_id], []).append(
+                (topology.routes[hub_id][-1], payload, carried)
+            )
         hub_inbox.clear()
 
         for sink_id, payload, carried in sorted(
@@ -327,9 +353,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             frame_ordinal += 1
             report.frames_sent += 1
             report.per_sink[sink_id].frames_sent += 1
-            route = topology.routes[sink_id]
-            schedule = relay(encoded, route, config.hop_latency_ticks, topology)
-            to_fusion.setdefault(tick + schedule[-1][1], []).append(
+            to_fusion.setdefault(tick + transit[sink_id], []).append(
                 (sink_id, encoded, carried)
             )
 
@@ -338,23 +362,23 @@ def run_simulation(config: SimConfig) -> SimReport:
         ):
             report.frames_delivered += 1
             report.per_sink[origin_sink].frames_delivered += 1
-            expected.extend(carried)
             try:
                 readings = fusion_receive(encoded, config.registry)
-            except (DecodeError, UnknownSinkError, DecodeAfterDecryptError) as exc:
+            except DecodeError as exc:
                 kind = exc.kind
                 report.frames_rejected[kind] = (
                     report.frames_rejected.get(kind, 0) + 1
                 )
                 report.per_sink[origin_sink].frames_rejected += 1
+                report.fidelity_ok = False
             else:
-                recovered.extend(readings)
+                if tuple(readings) != carried:
+                    report.fidelity_ok = False
                 report.readings_recovered += len(readings)
                 report.per_sink[origin_sink].readings_recovered += len(readings)
 
         tick += 1
 
-    report.fidelity_ok = sorted(recovered) == sorted(expected)
     return report
 
 
@@ -381,6 +405,7 @@ def config_from_dict(doc: dict) -> SimConfig:
     `duration_ticks`, `sense_period_ticks`, `hop_latency_ticks`.  Optional:
     `fusion_registry` (map like `keys`, overriding what the fusion center
     knows; defaults to `keys`) and `corruption` (list of {frame, bit}).
+    Every number must be a JSON integer; map keys are decimal id strings.
     """
     problems = [f"missing field {f!r}" for f in CONFIG_FIELDS if f not in doc]
     if problems:
@@ -388,7 +413,7 @@ def config_from_dict(doc: dict) -> SimConfig:
     try:
         nodes = tuple(
             NodeSpec(
-                id=int(n["id"]),
+                id=_int(n["id"], "node id"),
                 role=str(n["role"]),
                 kind=(
                     ReadingKind[str(n["kind"]).upper()]
@@ -396,50 +421,69 @@ def config_from_dict(doc: dict) -> SimConfig:
                     else None
                 ),
                 sense_period_ticks=(
-                    int(n["sense_period_ticks"])
+                    _int(n["sense_period_ticks"], "sense_period_ticks")
                     if "sense_period_ticks" in n
                     else None
                 ),
             )
             for n in doc["nodes"]
         )
-        edges = tuple((int(a), int(b)) for a, b in doc["edges"])
+        edges = tuple(
+            (_int(a, "edge end"), _int(b, "edge end")) for a, b in doc["edges"]
+        )
         routes = {
-            int(owner): tuple(int(x) for x in path)
-            for owner, path in doc["routes"].items()
+            int(owner): tuple(_int(x, "route node") for x in path)
+            for owner, path in _object(doc, "routes").items()
         }
-        sink_keys = {
-            int(owner): bytes.fromhex(hexkey)
-            for owner, hexkey in doc["keys"].items()
-        }
+        sink_keys = _keys(doc, "keys")
         registry = (
-            {
-                int(owner): bytes.fromhex(hexkey)
-                for owner, hexkey in doc["fusion_registry"].items()
-            }
+            _keys(doc, "fusion_registry")
             if "fusion_registry" in doc
             else dict(sink_keys)
         )
         corruption = tuple(
-            FrameCorruption(frame_index=int(c["frame"]), bit_index=int(c["bit"]))
+            FrameCorruption(
+                frame_index=_int(c["frame"], "corruption frame"),
+                bit_index=_int(c["bit"], "corruption bit"),
+            )
             for c in doc.get("corruption", ())
         )
-        config = SimConfig(
-            topology=Topology(nodes=nodes, edges=edges, routes=routes),
-            sink_keys=sink_keys,
-            registry=registry,
-            seed=int(doc["seed"]),
-            duration_ticks=int(doc["duration_ticks"]),
-            sense_period_ticks=int(doc["sense_period_ticks"]),
-            hop_latency_ticks=int(doc["hop_latency_ticks"]),
-            corruption=corruption,
-        )
+        seed = _int(doc["seed"], "seed")
+        duration = _int(doc["duration_ticks"], "duration_ticks")
+        period = _int(doc["sense_period_ticks"], "sense_period_ticks")
+        latency = _int(doc["hop_latency_ticks"], "hop_latency_ticks")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError([f"malformed config: {exc}"]) from exc
-    problems = _validate_config(config)
-    if problems:
-        raise InvalidConfigError(problems)
-    return config
+    return SimConfig(
+        topology=Topology(nodes=nodes, edges=edges, routes=routes),
+        sink_keys=sink_keys,
+        registry=registry,
+        seed=seed,
+        duration_ticks=duration,
+        sense_period_ticks=period,
+        hop_latency_ticks=latency,
+        corruption=corruption,
+    )
+
+
+def _int(value, what: str) -> int:
+    # bool is an int subclass, so compare the exact type
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _object(doc: dict, name: str) -> dict:
+    if not isinstance(doc[name], dict):
+        raise TypeError(f"{name!r} must be a JSON object")
+    return doc[name]
+
+
+def _keys(doc: dict, name: str) -> Dict[int, bytes]:
+    return {
+        int(owner): bytes.fromhex(hexkey)
+        for owner, hexkey in _object(doc, name).items()
+    }
 
 
 def load_config(path: str) -> SimConfig:

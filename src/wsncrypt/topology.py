@@ -9,7 +9,9 @@ rather than stopping at the first, so config errors surface in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .wire import ReadingKind
 
@@ -20,6 +22,8 @@ ROLE_RELAY = "relay"
 ROLE_FUSION = "fusion_center"
 
 ROLES = frozenset({ROLE_SENSOR, ROLE_HUB, ROLE_SINK, ROLE_RELAY, ROLE_FUSION})
+
+_NO_NEIGHBORS: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -35,30 +39,50 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class Topology:
+    """Nodes, edges and routes.  Each lookup index is derived from the
+    fields on first use and kept; lookups hand out read-only views of it."""
+
     nodes: Tuple[NodeSpec, ...]
     edges: Tuple[Tuple[int, int], ...]
     routes: Dict[int, Tuple[int, ...]]
 
-    def node_map(self) -> Dict[int, NodeSpec]:
+    @cached_property
+    def _node_index(self) -> Dict[int, NodeSpec]:
         return {n.id: n for n in self.nodes}
 
-    def edge_set(self) -> Set[Tuple[int, int]]:
-        return {(min(a, b), max(a, b)) for a, b in self.edges}
-
-    def neighbors(self, node_id: int) -> Set[int]:
-        adj = set()
+    @cached_property
+    def _adjacency(self) -> Dict[int, FrozenSet[int]]:
+        adjacent: Dict[int, Set[int]] = {}
         for a, b in self.edges:
-            if a == node_id:
-                adj.add(b)
-            elif b == node_id:
-                adj.add(a)
-        return adj
+            adjacent.setdefault(a, set()).add(b)
+            adjacent.setdefault(b, set()).add(a)
+        return {node: frozenset(near) for node, near in adjacent.items()}
 
-    def ids_with_role(self, role: str) -> List[int]:
-        return [n.id for n in self.nodes if n.role == role]
+    @cached_property
+    def _edge_index(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
+
+    @cached_property
+    def _role_index(self) -> Dict[str, Tuple[int, ...]]:
+        by_role: Dict[str, List[int]] = {}
+        for n in self.nodes:
+            by_role.setdefault(n.role, []).append(n.id)
+        return {role: tuple(ids) for role, ids in by_role.items()}
+
+    def node_map(self) -> Mapping[int, NodeSpec]:
+        return MappingProxyType(self._node_index)
+
+    def edge_set(self) -> FrozenSet[Tuple[int, int]]:
+        return self._edge_index
+
+    def neighbors(self, node_id: int) -> FrozenSet[int]:
+        return self._adjacency.get(node_id, _NO_NEIGHBORS)
+
+    def ids_with_role(self, role: str) -> Tuple[int, ...]:
+        return self._role_index.get(role, ())
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edge_set()
+        return b in self.neighbors(a)
 
 
 def validate_topology(topology: Topology) -> List[str]:
@@ -103,6 +127,7 @@ def validate_topology(topology: Topology) -> List[str]:
 
     hub_ids = set(topology.ids_with_role(ROLE_HUB))
     sink_ids = set(topology.ids_with_role(ROLE_SINK))
+    route_owners = hub_ids | sink_ids
 
     for sensor_id in topology.ids_with_role(ROLE_SENSOR):
         adjacent_hubs = topology.neighbors(sensor_id) & hub_ids
@@ -113,7 +138,7 @@ def validate_topology(topology: Topology) -> List[str]:
             )
 
     for route_owner in topology.routes:
-        if route_owner not in hub_ids | sink_ids:
+        if route_owner not in route_owners:
             problems.append(f"route configured for non-hub/sink {route_owner}")
 
     for hub_id in sorted(hub_ids):

@@ -48,7 +48,8 @@ class TooManyReadingsError(WireError):
 
 
 class DecodeError(WireError):
-    """Base for every parse failure; `kind` names the rejection bucket."""
+    """Base for every reason a received frame is rejected; `kind` names the
+    rejection bucket."""
 
 
 class BadMagicError(DecodeError):

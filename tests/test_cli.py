@@ -224,6 +224,24 @@ def test_simulate_invalid_config_is_usage_error(tmp_path, capsys):
     assert "sink 30 has no key" in capsys.readouterr().err
 
 
+def test_simulate_malformed_config_exits_cleanly(tmp_path):
+    import subprocess
+    import sys
+
+    doc = json.loads(CONFIG_PATH.read_text())
+    doc["routes"] = list(doc["routes"].values())
+    config_path = tmp_path / "list-routes.json"
+    config_path.write_text(json.dumps(doc))
+    done = subprocess.run(
+        [sys.executable, "-m", "wsncrypt", "simulate", "--config",
+         str(config_path)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert "'routes' must be a JSON object" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # -- vectors ----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from wsncrypt.sim import (
     BrokenRouteError,
     DecodeAfterDecryptError,
     ForeignReadingError,
+    FrameCorruption,
     InvalidConfigError,
     NotASensorError,
     UnknownSinkError,
@@ -19,6 +21,7 @@ from wsncrypt.sim import (
     fusion_receive,
     load_config,
     relay,
+    SimConfig,
     report_to_dict,
     run_simulation,
     sense,
@@ -26,7 +29,9 @@ from wsncrypt.sim import (
 )
 from wsncrypt.topology import NodeSpec, Topology, validate_topology
 from wsncrypt.wire import (
+    MAX_PAYLOAD,
     BadMagicError,
+    DecodeError,
     ReadingKind,
     SensorReading,
     decode_readings,
@@ -34,7 +39,8 @@ from wsncrypt.wire import (
     encode_readings,
 )
 
-CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_PATH = ROOT / "configs" / "demo.json"
 
 
 def chain_topology():
@@ -100,6 +106,23 @@ def test_unknown_role_flagged():
         nodes=chain_topology().nodes + (NodeSpec(50, "router"),),
     )
     assert any("unknown role" in p for p in validate_topology(topo))
+
+
+def test_topology_lookups_are_read_only_views():
+    topo = chain_topology()
+    with pytest.raises(TypeError):
+        topo.node_map()[5] = NodeSpec(5, "relay")
+    with pytest.raises(AttributeError):
+        topo.neighbors(10).add(99)
+    with pytest.raises(AttributeError):
+        topo.edge_set().add((1, 99))
+    assert topo.node_map() == {n.id: n for n in topo.nodes}
+    assert topo.edge_set() == {(1, 10), (10, 30), (30, 99)}
+    assert topo.neighbors(10) == {1, 30}
+    assert topo.neighbors(12345) == set()
+    assert topo.has_edge(30, 10) and not topo.has_edge(1, 99)
+    assert list(topo.ids_with_role("sensor")) == [1]
+    assert list(topo.ids_with_role("relay")) == []
 
 
 # -- sense ------------------------------------------------------------------------
@@ -245,15 +268,17 @@ def test_fusion_receive_round_trip():
 
 def test_fusion_receive_unknown_sink():
     encoded, _ = end_to_end_frame()
-    with pytest.raises(UnknownSinkError):
+    with pytest.raises(UnknownSinkError) as err:
         fusion_receive(encoded, {31: b"Z" * 8})
+    assert isinstance(err.value, DecodeError)  # one base for every rejection
 
 
 def test_fusion_receive_wrong_key_fails_parse():
     # concrete mis-registration: sink encrypts with 'Z'*8, registry says 'A'*8
     encoded, readings = end_to_end_frame(key=b"Z" * 8)
-    with pytest.raises(DecodeAfterDecryptError):
+    with pytest.raises(DecodeAfterDecryptError) as err:
         fusion_receive(encoded, {30: b"A" * 8})
+    assert isinstance(err.value, DecodeError)
 
 
 def test_fusion_receive_propagates_decode_errors():
@@ -373,6 +398,103 @@ def test_config_rejects_unknown_kind():
         config_from_dict(doc)
 
 
+def _set(field, value):
+    """Demo doc with `field` (dotted keys and list indices) set to `value`."""
+    doc = demo_dict()
+    *parents, last = [int(s) if s.isdigit() else s for s in field.split(".")]
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("routes", [[10, 30], [30, 20, 99]]),
+        ("keys", ["5a5a5a5a5a5a5a5a"]),
+        ("fusion_registry", ["5a5a5a5a5a5a5a5a"]),
+        ("seed", 1.7),
+        ("seed", "10"),
+        ("seed", True),
+        ("duration_ticks", 100.0),
+        ("duration_ticks", "100"),
+        ("sense_period_ticks", 10.5),
+        ("sense_period_ticks", True),
+        ("hop_latency_ticks", "1"),
+        ("hop_latency_ticks", 1.7),
+        ("nodes.0.id", 1.7),
+        ("nodes.0.id", "1"),
+        ("nodes.0.id", True),
+        ("edges.0.0", "1"),
+        ("edges.0.1", 10.0),
+        ("edges.0.1", True),
+    ],
+)
+def test_config_rejects_bad_shapes_and_types(field, value):
+    with pytest.raises(InvalidConfigError) as err:
+        config_from_dict(_set(field, value))
+    assert all(p.startswith("malformed config") for p in err.value.problems)
+
+
+def test_config_object_keys_parse_as_ids():
+    config = config_from_dict(demo_dict())  # "10", "30" as JSON object keys
+    assert set(config.topology.routes) == {10, 30}
+    assert set(config.sink_keys) == set(config.registry) == {30}
+
+
+def test_config_is_validated_when_built():
+    config = load_config(str(CONFIG_PATH))
+    with pytest.raises(InvalidConfigError) as err:
+        dataclasses.replace(config, duration_ticks=0)
+    assert err.value.problems == ["duration_ticks must be >= 1"]
+
+
+def video_hub_config(sensor_count):
+    """One hub carrying `sensor_count` video sensors, ids 1..sensor_count."""
+    hub, sink, fusion = 0xF000, 0xF001, 0xF002
+    sensors = range(1, sensor_count + 1)
+    topology = Topology(
+        nodes=tuple(NodeSpec(s, "sensor", ReadingKind.VIDEO) for s in sensors)
+        + (NodeSpec(hub, "hub"), NodeSpec(sink, "sink"),
+           NodeSpec(fusion, "fusion_center")),
+        edges=tuple((s, hub) for s in sensors) + ((hub, sink), (sink, fusion)),
+        routes={hub: (hub, sink), sink: (sink, fusion)},
+    )
+    keys = {sink: b"\x5a" * 8}
+    return dict(topology=topology, sink_keys=keys, registry=dict(keys),
+                seed=1, duration_ticks=2, sense_period_ticks=1,
+                hop_latency_ticks=1)
+
+
+def test_oversized_hub_batch_is_rejected():
+    with pytest.raises(InvalidConfigError) as err:
+        SimConfig(**video_hub_config(1639))  # 2 + 1639 * 40 bytes
+    assert err.value.problems == [
+        f"hub {0xF000} worst-case batch of 65562 bytes exceeds {MAX_PAYLOAD}"
+    ]
+
+
+def test_largest_hub_batch_runs():
+    config = SimConfig(**video_hub_config(1638))  # 2 + 1638 * 40 = 65,522
+    report = run_simulation(config)
+    assert report.readings_sensed == report.readings_recovered == 2 * 1638
+    assert report.frames_delivered == 2
+    assert report.fidelity_ok
+
+
+def test_batch_size_check_skipped_on_broken_topology():
+    params = video_hub_config(1639)
+    topology = params["topology"]
+    params["topology"] = dataclasses.replace(
+        topology, nodes=topology.nodes + (NodeSpec(7, "sensor"),)
+    )
+    with pytest.raises(InvalidConfigError) as err:
+        SimConfig(**params)
+    assert not any("worst-case batch" in p for p in err.value.problems)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(InvalidConfigError):
         load_config(str(tmp_path / "nope.json"))
@@ -413,3 +535,81 @@ def test_relay_transparency_end_to_end():
     rerouted = run_simulation(config_from_dict(longer))
     assert rerouted.readings_recovered == base.readings_recovered == 20
     assert rerouted.fidelity_ok
+
+
+# -- golden reports -------------------------------------------------------------------
+
+
+def golden_config():
+    """Two sinks, sink 31 three hops from the fusion center; per-sensor
+    periods; hop latency 2; two corruption hooks; sink 31's key is
+    misregistered by one bit."""
+    topology = Topology(
+        nodes=(
+            NodeSpec(1, "sensor", ReadingKind.SCALAR),
+            NodeSpec(2, "sensor", ReadingKind.VIDEO, sense_period_ticks=3),
+            NodeSpec(3, "sensor", ReadingKind.AUDIO, sense_period_ticks=7),
+            NodeSpec(4, "sensor", ReadingKind.SCALAR, sense_period_ticks=2),
+            NodeSpec(10, "hub"),
+            NodeSpec(11, "hub"),
+            NodeSpec(20, "relay"),
+            NodeSpec(21, "relay"),
+            NodeSpec(30, "sink"),
+            NodeSpec(31, "sink"),
+            NodeSpec(99, "fusion_center"),
+        ),
+        edges=((1, 10), (2, 10), (3, 11), (4, 11), (10, 30), (11, 31),
+               (30, 99), (31, 20), (20, 21), (21, 99)),
+        routes={10: (10, 30), 11: (11, 31), 30: (30, 99),
+                31: (31, 20, 21, 99)},
+    )
+    keys = {30: bytes.fromhex("5a5a5a5a5a5a5a5a"), 31: bytes.fromhex("0123456789")}
+    return SimConfig(
+        topology=topology,
+        sink_keys=keys,
+        registry={30: keys[30], 31: bytes.fromhex("0123456788")},
+        seed=2024,
+        duration_ticks=30,
+        sense_period_ticks=5,
+        hop_latency_ticks=2,
+        corruption=(FrameCorruption(frame_index=1, bit_index=100),
+                    FrameCorruption(frame_index=4, bit_index=3)),
+    )
+
+
+GOLDEN_REPORT = (
+    '{"readings_sensed": 35, "frames_sent": 31, "frames_delivered": 31,'
+    ' "frames_rejected": {"bad_magic": 1, "checksum_mismatch": 1,'
+    ' "decode_after_decrypt": 17}, "readings_recovered": 14,'
+    ' "fidelity_ok": false, "per_sink": {"30": {"frames_sent": 14,'
+    ' "frames_delivered": 14, "frames_rejected": 2, "readings_recovered": 14},'
+    ' "31": {"frames_sent": 17, "frames_delivered": 17, "frames_rejected": 17,'
+    ' "readings_recovered": 0}}}'
+)
+
+DEMO_REPORT = (
+    '{"readings_sensed": 20, "frames_sent": 10, "frames_delivered": 10,'
+    ' "frames_rejected": {}, "readings_recovered": 20, "fidelity_ok": true,'
+    ' "per_sink": {"30": {"frames_sent": 10, "frames_delivered": 10,'
+    ' "frames_rejected": 0, "readings_recovered": 20}}}'
+)
+
+
+def test_golden_report_is_pinned():
+    report = run_simulation(golden_config())
+    assert json.dumps(report_to_dict(report)) == GOLDEN_REPORT
+
+
+def test_demo_report_is_pinned():
+    report = run_simulation(load_config(str(CONFIG_PATH)))
+    assert json.dumps(report_to_dict(report)) == DEMO_REPORT
+
+
+def test_run_demo_sim_script(capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "run_demo_sim.py"))
+    script["main"]()
+    out = capsys.readouterr().out
+    clean, corrupted = out.split("\nwith one bit flipped in frame 0:\n")
+    clean_report = json.loads(clean.removeprefix("clean run:\n"))
+    assert json.dumps(clean_report) == DEMO_REPORT
+    assert json.loads(corrupted)["frames_rejected"] == {"checksum_mismatch": 1}
