@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .cipher import adjacent_swap, bytes_to_bits, complement, encrypt
+from .cipher import _SWAP_TABLE, encrypt
 
 SECONDS_PER_YEAR = 86400 * 365
 
@@ -21,6 +21,9 @@ MODE_AVERAGE = "average"
 MODE_WORST_CASE = "worst_case"
 
 MAX_SEARCH_KEY_BYTES = 3  # keeps the scan within 2**24 candidates
+
+# ASCII binary digits -> bit values
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class LengthMismatchError(ValueError):
@@ -84,7 +87,8 @@ def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
 
     Undoing the final swap and the complement of the ciphertext leaves
     plaintext XOR keystream; XORing the plaintext back out yields the key
-    bits, cyclically repeated to the message length.  Re-encrypting the
+    bits, cyclically repeated to the message length.  All of that is done on
+    whole bytes; only the result is expanded to bits.  Re-encrypting the
     plaintext under any key whose repetition matches this stream reproduces
     the ciphertext exactly.
     """
@@ -92,10 +96,14 @@ def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
         raise LengthMismatchError(
             "plaintext and ciphertext must be the same non-zero length"
         )
-    unswapped = adjacent_swap(bytes_to_bits(ciphertext))
-    masked = complement(unswapped)
-    plain_bits = bytes_to_bits(known_plaintext)
-    return [c ^ p for c, p in zip(masked, plain_bits)]
+    width = 8 * len(ciphertext)
+    stream = (
+        int.from_bytes(ciphertext.translate(_SWAP_TABLE), "big")
+        ^ int.from_bytes(known_plaintext, "big")
+        ^ ((1 << width) - 1)
+    )
+    # zero-padded binary digits are the bits MSB first
+    return list(format(stream, f"0{width}b").encode().translate(_DIGIT_BITS))
 
 
 def exhaustive_search(

@@ -8,17 +8,20 @@ for the sending sink, decrypts, re-parses the readings, and tallies the
 result.  Intermediate nodes forward bytes untouched and never decrypt.
 
 The whole run is a pure function of SimConfig: sensor values come from the
-seeded mixer in `wsncrypt.rng`, ticks advance in lockstep, and same-tick
-events are processed in sorted node order, so two runs of one config are
-bit-identical.  The only way to lose data is the explicit corruption hook
-(flip one bit of one frame), which exists to exercise the rejection
-accounting at the fusion center.
+seeded mixer in `wsncrypt.rng`, the clock jumps from one sense or arrival
+tick to the next (idle ticks change nothing, so a run costs time in
+proportion to its readings and frames, not to `duration_ticks`), and
+same-tick events are processed in sorted node order, so two runs of one
+config are bit-identical.  The only way to lose data is the explicit
+corruption hook (flip one bit of one frame), which exists to exercise the
+rejection accounting at the fusion center.
 
 Configs load from JSON; see `config_from_dict` for the exact field names.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -285,11 +288,15 @@ def run_simulation(config: SimConfig) -> SimReport:
     topology = config.topology
     nodes = topology.node_map()
     hub_ids = set(topology.ids_with_role(ROLE_HUB))
-    sensors = []  # (sensor, period, hub), in sensor id order
-    for sensor_id in sorted(topology.ids_with_role(ROLE_SENSOR)):
+    # (next sense tick, sensor, period, hub): the heap pops due sensors in
+    # id order, so each hub inbox fills sorted
+    due = []
+    for sensor_id in topology.ids_with_role(ROLE_SENSOR):
         period = nodes[sensor_id].sense_period_ticks or config.sense_period_ticks
-        (hub_id,) = topology.neighbors(sensor_id) & hub_ids
-        sensors.append((sensor_id, period, hub_id))
+        if period <= config.duration_ticks:
+            (hub_id,) = topology.neighbors(sensor_id) & hub_ids
+            due.append((period, sensor_id, period, hub_id))
+    heapq.heapify(due)
     # ticks from a route's first node to its last; routes never change
     transit = {
         owner: relay(b"", route, config.hop_latency_ticks, topology)[-1][1]
@@ -319,14 +326,22 @@ def run_simulation(config: SimConfig) -> SimReport:
         },
     )
 
-    tick = 1
-    while tick <= config.duration_ticks or to_sink or to_fusion:
-        if tick <= config.duration_ticks:
-            for sensor_id, period, hub_id in sensors:
-                if tick % period == 0:
-                    reading = sense(topology, sensor_id, tick, config.seed)
-                    hub_inbox.setdefault(hub_id, []).append(reading)
-                    report.readings_sensed += 1
+    while due or to_sink or to_fusion:
+        # idle ticks change nothing, so jump to the next sense or arrival
+        next_ticks = [*to_sink, *to_fusion]
+        if due:
+            next_ticks.append(due[0][0])
+        tick = min(next_ticks)
+
+        while due and due[0][0] == tick:
+            _, sensor_id, period, hub_id = due[0]
+            reading = sense(topology, sensor_id, tick, config.seed)
+            hub_inbox.setdefault(hub_id, []).append(reading)
+            report.readings_sensed += 1
+            if tick + period <= config.duration_ticks:
+                heapq.heapreplace(due, (tick + period, sensor_id, period, hub_id))
+            else:
+                heapq.heappop(due)
 
         for hub_id in sorted(hub_inbox):
             batch = hub_inbox[hub_id]
@@ -376,8 +391,6 @@ def run_simulation(config: SimConfig) -> SimReport:
                     report.fidelity_ok = False
                 report.readings_recovered += len(readings)
                 report.per_sink[origin_sink].readings_recovered += len(readings)
-
-        tick += 1
 
     return report
 

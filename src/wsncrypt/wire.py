@@ -82,6 +82,10 @@ class ReadingKind(IntEnum):
     VIDEO = 2
 
 
+# a tuple, not a set: membership of an unhashable kind is False, not TypeError
+_KINDS = tuple(ReadingKind)
+
+
 @dataclass(frozen=True, order=True)
 class SensorReading:
     """One sensed parameter; ordering is (node_id, timestamp, ...)."""
@@ -164,7 +168,7 @@ def _check_reading(reading: SensorReading) -> None:
         raise ValueError(f"node_id {reading.node_id} does not fit u16")
     if not 0 <= reading.timestamp <= 0xFFFFFFFF:
         raise ValueError(f"timestamp {reading.timestamp} does not fit u32")
-    if reading.kind not in tuple(ReadingKind):
+    if reading.kind not in _KINDS:
         raise ValueError(f"unknown reading kind {reading.kind!r}")
     if len(reading.value) > MAX_VALUE_LEN:
         raise ValueError(f"value of {len(reading.value)} bytes exceeds 255")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wsncrypt.cipher import bytes_to_bits, encrypt
+from wsncrypt.cipher import adjacent_swap, bytes_to_bits, complement, encrypt
 from wsncrypt.keyspace import (
     MODE_AVERAGE,
     MODE_WORST_CASE,
@@ -118,6 +118,16 @@ def test_recovered_stream_reencrypts(plaintext, key):
     # the stream is the raw key bits cycled to message length
     key_bits = bytes_to_bits(key)
     assert stream == [key_bits[i % len(key_bits)] for i in range(8 * len(plaintext))]
+
+
+@given(st.data())
+def test_recover_keystream_matches_bit_list_definition(data):
+    plaintext = data.draw(st.binary(min_size=1, max_size=200))
+    n = len(plaintext)
+    ciphertext = data.draw(st.binary(min_size=n, max_size=n))  # any block
+    masked = complement(adjacent_swap(bytes_to_bits(ciphertext)))
+    expected = [c ^ p for c, p in zip(masked, bytes_to_bits(plaintext))]
+    assert recover_keystream(plaintext, ciphertext) == expected
 
 
 @given(st.data())

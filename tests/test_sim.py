@@ -5,6 +5,9 @@ import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sim_reference import ref_run_simulation
 
 from wsncrypt.cipher import encrypt
 from wsncrypt.sim import (
@@ -368,6 +371,111 @@ def test_per_sensor_period_override():
     assert report.readings_sensed == 30
     assert report.readings_recovered == 30
     assert report.fidelity_ok
+
+
+# -- event clock: idle ticks cost nothing -------------------------------------------
+
+
+def test_longest_run_fires_each_sensor_twice():
+    doc = demo_dict()
+    doc["duration_ticks"] = 0xFFFFFFFF
+    for node in doc["nodes"][:2]:
+        node["sense_period_ticks"] = 0x7FFFFFFF  # fires at 2**31 - 1 and 2**32 - 2
+    report = run_simulation(config_from_dict(doc))
+    assert report_to_dict(report) == {
+        "readings_sensed": 4,
+        "frames_sent": 2,
+        "frames_delivered": 2,
+        "frames_rejected": {},
+        "readings_recovered": 4,
+        "fidelity_ok": True,
+        "per_sink": {"30": {"frames_sent": 2, "frames_delivered": 2,
+                            "frames_rejected": 0, "readings_recovered": 4}},
+    }
+
+
+def test_periods_beyond_duration_give_empty_report():
+    doc = demo_dict()
+    doc["duration_ticks"] = 0xFFFFFFFE
+    doc["sense_period_ticks"] = 0xFFFFFFFF
+    doc["nodes"][1]["sense_period_ticks"] = 0xFFFFFFFF
+    report = run_simulation(config_from_dict(doc))
+    assert report_to_dict(report) == {
+        "readings_sensed": 0,
+        "frames_sent": 0,
+        "frames_delivered": 0,
+        "frames_rejected": {},
+        "readings_recovered": 0,
+        "fidelity_ok": True,
+        "per_sink": {"30": {"frames_sent": 0, "frames_delivered": 0,
+                            "frames_rejected": 0, "readings_recovered": 0}},
+    }
+
+
+@st.composite
+def small_networks(draw):
+    """Up to 2 sinks, 0-2 relays on each sink's route and 0-1 on each hub's,
+    1-3 sensors per hub with periods that may exceed the run, corruption
+    hooks, and registry entries that match, are missing or differ."""
+    fusion = 99
+    duration = draw(st.integers(1, 40))
+    nodes = [NodeSpec(fusion, "fusion_center")]
+    edges, routes, keys, registry = [], {}, {}, {}
+    next_id = iter(range(100, 200))
+    sensor_ids = iter(range(1, 100))
+
+    def path_to(start, end, relays):
+        path = [start] + [next(next_id) for _ in range(relays)] + [end]
+        nodes.extend(NodeSpec(relay, "relay") for relay in path[1:-1])
+        edges.extend(zip(path, path[1:]))
+        return tuple(path)
+
+    for _ in range(draw(st.integers(1, 2))):
+        sink = next(next_id)
+        nodes.append(NodeSpec(sink, "sink"))
+        routes[sink] = path_to(sink, fusion, draw(st.integers(0, 2)))
+        keys[sink] = draw(st.binary(min_size=1, max_size=8))
+        entry = draw(st.sampled_from(["same", "missing", "other"]))
+        if entry == "same":
+            registry[sink] = keys[sink]
+        elif entry == "other":
+            registry[sink] = bytes([keys[sink][0] ^ 1]) + keys[sink][1:]
+        for _ in range(draw(st.integers(1, 2))):
+            hub = next(next_id)
+            nodes.append(NodeSpec(hub, "hub"))
+            routes[hub] = path_to(hub, sink, draw(st.integers(0, 1)))
+            for _ in range(draw(st.integers(1, 3))):
+                sensor = next(sensor_ids)
+                nodes.append(NodeSpec(
+                    sensor,
+                    "sensor",
+                    draw(st.sampled_from(list(ReadingKind))),
+                    draw(st.none() | st.integers(1, duration + 5)),
+                ))
+                edges.append((sensor, hub))
+    corruption = tuple(
+        FrameCorruption(frame, bit)
+        for frame, bit in draw(st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 600)), max_size=3
+        ))
+    )
+    return SimConfig(
+        topology=Topology(nodes=tuple(nodes), edges=tuple(edges), routes=routes),
+        sink_keys=keys,
+        registry=registry,
+        seed=draw(st.integers(0, (1 << 64) - 1)),
+        duration_ticks=duration,
+        sense_period_ticks=draw(st.integers(1, 8)),
+        hop_latency_ticks=draw(st.integers(1, 3)),
+        corruption=corruption,
+    )
+
+
+@settings(deadline=None)
+@given(small_networks())
+def test_event_clock_matches_tick_by_tick_reference(config):
+    expected = json.dumps(report_to_dict(ref_run_simulation(config)))
+    assert json.dumps(report_to_dict(run_simulation(config))) == expected
 
 
 def test_invalid_config_lists_problems():
