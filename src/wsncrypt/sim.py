@@ -16,6 +16,10 @@ config are bit-identical.  The only way to lose data is the explicit
 corruption hook (flip one bit of one frame), which exists to exercise the
 rejection accounting at the fusion center.
 
+The stages (`sense`, `aggregate`, `relay`, `sink_transmit`) assume a
+validated config: building a SimConfig checks every node, role, edge and
+route once, so the stages re-check none of it.
+
 Configs load from JSON; see `config_from_dict` for the exact field names.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -37,6 +42,7 @@ from .topology import (
     validate_topology,
 )
 from .wire import (
+    HEADER_LEN,
     MAX_PAYLOAD,
     DecodeError,
     Frame,
@@ -54,18 +60,6 @@ VALUE_LENGTHS = {
     ReadingKind.AUDIO: 16,
     ReadingKind.VIDEO: 32,
 }
-
-
-class NotASensorError(ValueError):
-    """sense() was pointed at a node that is not a sensor."""
-
-
-class ForeignReadingError(ValueError):
-    """A hub was asked to aggregate a reading from a non-adjacent sensor."""
-
-
-class BrokenRouteError(ValueError):
-    """A relay path references missing nodes or edges."""
 
 
 class UnknownSinkError(DecodeError):
@@ -136,36 +130,20 @@ class SimReport:
     per_sink: Dict[int, SinkStats] = field(default_factory=dict)
 
 
-def sense(topology: Topology, node_id: int, tick: int, seed: int) -> SensorReading:
-    """Deterministic reading for (seed, node, tick).
+def sense(node_id: int, kind: ReadingKind, tick: int, seed: int) -> SensorReading:
+    """Deterministic reading of sensor `node_id` of `kind` at `tick`.
 
     Value bytes come from the documented multiply-xor-shift mixer; length
     is fixed per kind (scalar 2, audio 16, video 32).
     """
-    node = topology.node_map().get(node_id)
-    if node is None or node.role != ROLE_SENSOR:
-        raise NotASensorError(f"node {node_id} is not a sensor")
     stream_seed = rng.mix64(seed) ^ rng.mix64((node_id << 32) | (tick & 0xFFFFFFFF))
-    value = rng.derive_bytes(stream_seed, VALUE_LENGTHS[node.kind])
-    return SensorReading(node_id=node_id, timestamp=tick, kind=node.kind, value=value)
+    value = rng.derive_bytes(stream_seed, VALUE_LENGTHS[kind])
+    return SensorReading(node_id=node_id, timestamp=tick, kind=kind, value=value)
 
 
-def aggregate(
-    topology: Topology, hub_id: int, readings: Sequence[SensorReading]
-) -> bytes:
+def aggregate(readings: Sequence[SensorReading]) -> bytes:
     """Serialize a hub's batch, ordered by (node_id, timestamp)."""
-    node = topology.node_map().get(hub_id)
-    if node is None or node.role != ROLE_HUB:
-        raise ValueError(f"node {hub_id} is not a hub")
-    neighbors = topology.neighbors(hub_id)
-    for reading in readings:
-        if reading.node_id not in neighbors:
-            raise ForeignReadingError(
-                f"reading from node {reading.node_id} which is not adjacent"
-                f" to hub {hub_id}"
-            )
-    ordered = sorted(readings, key=lambda r: (r.node_id, r.timestamp))
-    return encode_readings(ordered)
+    return encode_readings(sorted(readings, key=lambda r: (r.node_id, r.timestamp)))
 
 
 def sink_transmit(sink_id: int, payload: bytes, sequence: int, key: bytes) -> Frame:
@@ -173,25 +151,9 @@ def sink_transmit(sink_id: int, payload: bytes, sequence: int, key: bytes) -> Fr
     return Frame(sink_id=sink_id, sequence=sequence, payload=encrypt(payload, key))
 
 
-def relay(
-    payload: bytes,
-    path: Sequence[int],
-    hop_latency_ticks: int,
-    topology: Topology,
-) -> List[Tuple[int, int]]:
+def relay(path: Sequence[int], hop_latency_ticks: int) -> List[Tuple[int, int]]:
     """Forwarding schedule along a route: (node, ticks-after-departure) per
     hop, last entry being the destination.  Bytes are never altered."""
-    if hop_latency_ticks < 1:
-        raise ValueError("hop_latency_ticks must be >= 1")
-    if len(path) < 2:
-        raise BrokenRouteError(f"path {list(path)} has no hops")
-    nodes = topology.node_map()
-    for node_id in path:
-        if node_id not in nodes:
-            raise BrokenRouteError(f"path visits removed node {node_id}")
-    for a, b in zip(path, path[1:]):
-        if not topology.has_edge(a, b):
-            raise BrokenRouteError(f"no edge between {a} and {b}")
     return [
         (node_id, hop * hop_latency_ticks)
         for hop, node_id in enumerate(path[1:], start=1)
@@ -224,7 +186,22 @@ def _validate_config(config: SimConfig) -> List[str]:
     topology = config.topology
     problems = validate_topology(topology)
     if not problems:
-        problems.extend(_oversized_batches(topology))
+        batches = _worst_case_batches(topology)
+        for hub_id, size in batches.items():
+            if size > MAX_PAYLOAD:
+                problems.append(
+                    f"hub {hub_id} worst-case batch of {size} bytes exceeds"
+                    f" {MAX_PAYLOAD}"
+                )
+        # a frame carries one hub batch (encryption keeps its length)
+        # between the header and the checksum byte
+        frame_bits = 8 * (HEADER_LEN + max(batches.values(), default=0) + 1)
+        for hook in config.corruption:
+            if hook.bit_index >= frame_bits:
+                problems.append(
+                    f"corruption bit {hook.bit_index} is past the longest"
+                    f" possible frame ({frame_bits} bits)"
+                )
     if config.duration_ticks < 1:
         problems.append("duration_ticks must be >= 1")
     if config.duration_ticks > 0xFFFFFFFF:
@@ -251,23 +228,18 @@ def _validate_config(config: SimConfig) -> List[str]:
     return problems
 
 
-def _oversized_batches(topology: Topology) -> List[str]:
-    """Hubs whose batch, with every adjacent sensor firing in one tick,
-    would not fit one frame payload.  Needs a valid topology."""
+def _worst_case_batches(topology: Topology) -> Dict[int, int]:
+    """Bytes of each hub's batch when every adjacent sensor fires in one
+    tick.  Needs a valid topology."""
     nodes = topology.node_map()
-    problems = []
-    for hub_id in topology.ids_with_role(ROLE_HUB):
-        size = 2 + sum(
+    return {
+        hub_id: 2 + sum(
             8 + VALUE_LENGTHS[nodes[near].kind]
             for near in topology.neighbors(hub_id)
             if nodes[near].role == ROLE_SENSOR
         )
-        if size > MAX_PAYLOAD:
-            problems.append(
-                f"hub {hub_id} worst-case batch of {size} bytes exceeds"
-                f" {MAX_PAYLOAD}"
-            )
-    return problems
+        for hub_id in topology.ids_with_role(ROLE_HUB)
+    }
 
 
 def _flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -288,18 +260,19 @@ def run_simulation(config: SimConfig) -> SimReport:
     topology = config.topology
     nodes = topology.node_map()
     hub_ids = set(topology.ids_with_role(ROLE_HUB))
-    # (next sense tick, sensor, period, hub): the heap pops due sensors in
-    # id order, so each hub inbox fills sorted
+    # (next sense tick, sensor, period, hub, kind): the heap pops due
+    # sensors in id order, so each hub inbox fills sorted
     due = []
     for sensor_id in topology.ids_with_role(ROLE_SENSOR):
-        period = nodes[sensor_id].sense_period_ticks or config.sense_period_ticks
+        node = nodes[sensor_id]
+        period = node.sense_period_ticks or config.sense_period_ticks
         if period <= config.duration_ticks:
             (hub_id,) = topology.neighbors(sensor_id) & hub_ids
-            due.append((period, sensor_id, period, hub_id))
+            due.append((period, sensor_id, period, hub_id, node.kind))
     heapq.heapify(due)
     # ticks from a route's first node to its last; routes never change
     transit = {
-        owner: relay(b"", route, config.hop_latency_ticks, topology)[-1][1]
+        owner: relay(route, config.hop_latency_ticks)[-1][1]
         for owner, route in topology.routes.items()
     }
     corruption: Dict[int, List[int]] = {}
@@ -334,18 +307,18 @@ def run_simulation(config: SimConfig) -> SimReport:
         tick = min(next_ticks)
 
         while due and due[0][0] == tick:
-            _, sensor_id, period, hub_id = due[0]
-            reading = sense(topology, sensor_id, tick, config.seed)
+            _, sensor_id, period, hub_id, kind = due[0]
+            reading = sense(sensor_id, kind, tick, config.seed)
             hub_inbox.setdefault(hub_id, []).append(reading)
             report.readings_sensed += 1
             if tick + period <= config.duration_ticks:
-                heapq.heapreplace(due, (tick + period, sensor_id, period, hub_id))
+                heapq.heapreplace(due, (tick + period, sensor_id, period, hub_id, kind))
             else:
                 heapq.heappop(due)
 
         for hub_id in sorted(hub_inbox):
             batch = hub_inbox[hub_id]
-            payload = aggregate(topology, hub_id, batch)
+            payload = aggregate(batch)
             # sorted already: sensors fire in id order, the inbox holds one tick
             carried = tuple(batch)
             to_sink.setdefault(tick + transit[hub_id], []).append(
@@ -418,7 +391,8 @@ def config_from_dict(doc: dict) -> SimConfig:
     `duration_ticks`, `sense_period_ticks`, `hop_latency_ticks`.  Optional:
     `fusion_registry` (map like `keys`, overriding what the fusion center
     knows; defaults to `keys`) and `corruption` (list of {frame, bit}).
-    Every number must be a JSON integer; map keys are decimal id strings.
+    Every number must be a JSON integer; map keys are canonical decimal id
+    strings ("0" or no leading zero, sign, space or underscore).
     """
     problems = [f"missing field {f!r}" for f in CONFIG_FIELDS if f not in doc]
     if problems:
@@ -445,7 +419,7 @@ def config_from_dict(doc: dict) -> SimConfig:
             (_int(a, "edge end"), _int(b, "edge end")) for a, b in doc["edges"]
         )
         routes = {
-            int(owner): tuple(_int(x, "route node") for x in path)
+            _id_key(owner, "routes"): tuple(_int(x, "route node") for x in path)
             for owner, path in _object(doc, "routes").items()
         }
         sink_keys = _keys(doc, "keys")
@@ -486,6 +460,14 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _id_key(key: str, name: str) -> int:
+    # int() would also take "030", "+30", "3_0" and " 30", so two spellings
+    # of one id could collide in a map and the last would silently win
+    if not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise ValueError(f"{name!r} key {key!r} is not a canonical decimal id")
+    return int(key)
+
+
 def _object(doc: dict, name: str) -> dict:
     if not isinstance(doc[name], dict):
         raise TypeError(f"{name!r} must be a JSON object")
@@ -494,7 +476,7 @@ def _object(doc: dict, name: str) -> dict:
 
 def _keys(doc: dict, name: str) -> Dict[int, bytes]:
     return {
-        int(owner): bytes.fromhex(hexkey)
+        _id_key(owner, name): bytes.fromhex(hexkey)
         for owner, hexkey in _object(doc, name).items()
     }
 
@@ -505,6 +487,8 @@ def load_config(path: str) -> SimConfig:
             doc = json.load(handle)
     except OSError as exc:
         raise InvalidConfigError([f"cannot read config: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError([f"config is not UTF-8: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):

@@ -30,14 +30,14 @@ def ref_run_simulation(config: SimConfig) -> SimReport:
     topology = config.topology
     nodes = topology.node_map()
     hub_ids = set(topology.ids_with_role(ROLE_HUB))
-    sensors = []  # (sensor, period, hub), in sensor id order
+    sensors = []  # (sensor, period, hub, kind), in sensor id order
     for sensor_id in sorted(topology.ids_with_role(ROLE_SENSOR)):
         period = nodes[sensor_id].sense_period_ticks or config.sense_period_ticks
         (hub_id,) = topology.neighbors(sensor_id) & hub_ids
-        sensors.append((sensor_id, period, hub_id))
+        sensors.append((sensor_id, period, hub_id, nodes[sensor_id].kind))
     # ticks from a route's first node to its last; routes never change
     transit = {
-        owner: relay(b"", route, config.hop_latency_ticks, topology)[-1][1]
+        owner: relay(route, config.hop_latency_ticks)[-1][1]
         for owner, route in topology.routes.items()
     }
     corruption: Dict[int, List[int]] = {}
@@ -67,15 +67,15 @@ def ref_run_simulation(config: SimConfig) -> SimReport:
     tick = 1
     while tick <= config.duration_ticks or to_sink or to_fusion:
         if tick <= config.duration_ticks:
-            for sensor_id, period, hub_id in sensors:
+            for sensor_id, period, hub_id, kind in sensors:
                 if tick % period == 0:
-                    reading = sense(topology, sensor_id, tick, config.seed)
+                    reading = sense(sensor_id, kind, tick, config.seed)
                     hub_inbox.setdefault(hub_id, []).append(reading)
                     report.readings_sensed += 1
 
         for hub_id in sorted(hub_inbox):
             batch = hub_inbox[hub_id]
-            payload = aggregate(topology, hub_id, batch)
+            payload = aggregate(batch)
             # sorted already: sensors fire in id order, the inbox holds one tick
             carried = tuple(batch)
             to_sink.setdefault(tick + transit[hub_id], []).append(

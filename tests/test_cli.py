@@ -230,16 +230,23 @@ def test_simulate_malformed_config_exits_cleanly(tmp_path):
 
     doc = json.loads(CONFIG_PATH.read_text())
     doc["routes"] = list(doc["routes"].values())
-    config_path = tmp_path / "list-routes.json"
-    config_path.write_text(json.dumps(doc))
-    done = subprocess.run(
-        [sys.executable, "-m", "wsncrypt", "simulate", "--config",
-         str(config_path)],
-        capture_output=True, text=True,
-    )
-    assert done.returncode == 2
-    assert "'routes' must be a JSON object" in done.stderr
-    assert "Traceback" not in done.stderr
+    cases = {
+        "list-routes.json": (json.dumps(doc).encode(),
+                             "'routes' must be a JSON object"),
+        "utf-16.json": (b"\xff\xfe" + CONFIG_PATH.read_text().encode("utf-16-le"),
+                        "config is not UTF-8"),
+    }
+    for name, (content, message) in cases.items():
+        config_path = tmp_path / name
+        config_path.write_bytes(content)
+        done = subprocess.run(
+            [sys.executable, "-m", "wsncrypt", "simulate", "--config",
+             str(config_path)],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 2, name
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 # -- vectors ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -177,3 +181,23 @@ def test_search_validation():
         exhaustive_search(b"abc", b"ab", 1)
     with pytest.raises(LengthMismatchError):
         exhaustive_search(b"a", b"a", 2)  # plaintext shorter than the key
+
+
+# -- scripts/attack_experiment.py ------------------------------------------------
+
+
+def test_attack_experiment_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "attack_experiment.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--instances", "2", "--max-key-bytes", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    assert re.search(
+        r"^at that rate, an average 64-bit search takes [\d,]+ years$",
+        done.stdout, re.MULTILINE,
+    )
+    assert re.search(
+        r"^keystream recovery from one 24-byte block: key ([0-9a-f]{16})"
+        r" recovered as \1 \(match\) in O\(n\), no search$",
+        done.stdout, re.MULTILINE,
+    )

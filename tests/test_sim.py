@@ -12,12 +12,9 @@ from sim_reference import ref_run_simulation
 from wsncrypt.cipher import encrypt
 from wsncrypt.sim import (
     VALUE_LENGTHS,
-    BrokenRouteError,
     DecodeAfterDecryptError,
-    ForeignReadingError,
     FrameCorruption,
     InvalidConfigError,
-    NotASensorError,
     UnknownSinkError,
     aggregate,
     config_from_dict,
@@ -32,6 +29,7 @@ from wsncrypt.sim import (
 )
 from wsncrypt.topology import NodeSpec, Topology, validate_topology
 from wsncrypt.wire import (
+    HEADER_LEN,
     MAX_PAYLOAD,
     BadMagicError,
     DecodeError,
@@ -85,10 +83,18 @@ def test_missing_fusion_center():
     assert any("missing fusion center" in p for p in validate_topology(topo))
 
 
-def test_route_with_missing_edge_is_named():
-    topo = dataclasses.replace(chain_topology(), edges=((1, 10), (30, 99)))
-    problems = validate_topology(topo)
-    assert any("missing edge (10, 30)" in p for p in problems)
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"edges": ((1, 10), (30, 99))}, "uses missing edge (10, 30)"),
+        ({"routes": {10: (10, 55, 30), 30: (30, 99)}}, "visits unknown node 55"),
+        ({"routes": {10: (10,), 30: (30, 99)}}, "has fewer than 2 nodes"),
+    ],
+    ids=["missing-edge", "unknown-node", "no-hops"],
+)
+def test_route_with_missing_edge_is_named(change, problem):
+    problems = validate_topology(dataclasses.replace(chain_topology(), **change))
+    assert f"route of hub 10 {problem}" in problems
 
 
 def test_sensor_needs_exactly_one_hub():
@@ -132,79 +138,41 @@ def test_topology_lookups_are_read_only_views():
 
 
 def test_sense_is_deterministic():
-    topo = chain_topology()
-    assert sense(topo, 1, 10, 42) == sense(topo, 1, 10, 42)
+    assert sense(1, ReadingKind.SCALAR, 10, 42) == sense(1, ReadingKind.SCALAR, 10, 42)
 
 
 def test_sense_varies_with_inputs():
-    topo = chain_topology()
-    base = sense(topo, 1, 10, 42)
-    assert sense(topo, 1, 11, 42) != base
-    assert sense(topo, 1, 10, 43) != base
+    base = sense(1, ReadingKind.SCALAR, 10, 42)
+    assert sense(1, ReadingKind.SCALAR, 11, 42) != base
+    assert sense(1, ReadingKind.SCALAR, 10, 43) != base
+    assert sense(2, ReadingKind.SCALAR, 10, 42) != base
 
 
 def test_sense_value_lengths():
-    topo = Topology(
-        nodes=(
-            NodeSpec(1, "sensor", ReadingKind.SCALAR),
-            NodeSpec(2, "sensor", ReadingKind.AUDIO),
-            NodeSpec(3, "sensor", ReadingKind.VIDEO),
-            NodeSpec(10, "hub"),
-            NodeSpec(30, "sink"),
-            NodeSpec(99, "fusion_center"),
-        ),
-        edges=((1, 10), (2, 10), (3, 10), (10, 30), (30, 99)),
-        routes={10: (10, 30), 30: (30, 99)},
-    )
-    assert len(sense(topo, 1, 1, 0).value) == 2
-    assert len(sense(topo, 2, 1, 0).value) == 16
-    assert len(sense(topo, 3, 1, 0).value) == 32
+    assert len(sense(1, ReadingKind.SCALAR, 1, 0).value) == 2
+    assert len(sense(2, ReadingKind.AUDIO, 1, 0).value) == 16
+    assert len(sense(3, ReadingKind.VIDEO, 1, 0).value) == 32
     assert VALUE_LENGTHS[ReadingKind.SCALAR] == 2
 
 
 def test_sense_values_rarely_repeat():
-    topo = chain_topology()
-    values = {sense(topo, 1, tick, 7).value for tick in range(1, 1001)}
+    values = {sense(1, ReadingKind.SCALAR, tick, 7).value for tick in range(1, 1001)}
     assert len(values) >= 990
-
-
-def test_sense_rejects_non_sensors():
-    with pytest.raises(NotASensorError):
-        sense(chain_topology(), 10, 1, 0)
-    with pytest.raises(NotASensorError):
-        sense(chain_topology(), 12345, 1, 0)
 
 
 # -- aggregate ----------------------------------------------------------------------
 
 
 def test_aggregate_empty_batch():
-    assert aggregate(chain_topology(), 10, []) == b"\x00\x00"
+    assert aggregate([]) == b"\x00\x00"
 
 
 def test_aggregate_orders_by_node_then_timestamp():
-    topo = dataclasses.replace(
-        chain_topology(),
-        nodes=chain_topology().nodes + (NodeSpec(2, "sensor", ReadingKind.SCALAR),),
-        edges=chain_topology().edges + ((2, 10),),
-    )
-    r_late = sense(topo, 1, 20, 0)
-    r_early = sense(topo, 1, 10, 0)
-    r_other = sense(topo, 2, 10, 0)
-    encoded = aggregate(topo, 10, [r_other, r_late, r_early])
+    r_late = sense(1, ReadingKind.SCALAR, 20, 0)
+    r_early = sense(1, ReadingKind.SCALAR, 10, 0)
+    r_other = sense(2, ReadingKind.SCALAR, 10, 0)
+    encoded = aggregate([r_other, r_late, r_early])
     assert decode_readings(encoded) == [r_early, r_late, r_other]
-
-
-def test_aggregate_rejects_foreign_readings():
-    reading = SensorReading(node_id=77, timestamp=1, kind=ReadingKind.SCALAR,
-                            value=b"xx")
-    with pytest.raises(ForeignReadingError):
-        aggregate(chain_topology(), 10, [reading])
-
-
-def test_aggregate_requires_a_hub():
-    with pytest.raises(ValueError):
-        aggregate(chain_topology(), 30, [])
 
 
 # -- sink_transmit / relay ------------------------------------------------------------
@@ -226,40 +194,18 @@ def test_sink_transmit_empty_payload():
 
 
 def test_relay_schedule_arithmetic():
-    topo = Topology(
-        nodes=(
-            NodeSpec(1, "sensor", ReadingKind.SCALAR),
-            NodeSpec(10, "hub"),
-            NodeSpec(20, "relay"),
-            NodeSpec(21, "relay"),
-            NodeSpec(30, "sink"),
-            NodeSpec(99, "fusion_center"),
-        ),
-        edges=((1, 10), (10, 30), (30, 20), (20, 21), (21, 99)),
-        routes={10: (10, 30), 30: (30, 20, 21, 99)},
-    )
-    schedule = relay(b"data", (30, 20, 21, 99), 2, topo)
+    schedule = relay((30, 20, 21, 99), 2)
     assert schedule == [(20, 2), (21, 4), (99, 6)]  # 3 hops, latency 2
-
-
-def test_relay_broken_route():
-    topo = chain_topology()
-    with pytest.raises(BrokenRouteError):
-        relay(b"x", (10, 99), 1, topo)  # no such edge
-    with pytest.raises(BrokenRouteError):
-        relay(b"x", (10, 55, 30), 1, topo)  # removed node
-    with pytest.raises(BrokenRouteError):
-        relay(b"x", (10,), 1, topo)  # no hops
 
 
 # -- fusion_receive --------------------------------------------------------------------
 
 
 def end_to_end_frame(key=b"Z" * 8, seed=1):
-    config = config_from_dict(demo_dict())
-    topo = config.topology
-    readings = [sense(topo, 1, 10, seed), sense(topo, 2, 10, seed)]
-    payload = aggregate(topo, 10, readings)
+    # demo.json's sensors 1 (scalar) and 2 (audio) on hub 10, sink 30
+    readings = [sense(1, ReadingKind.SCALAR, 10, seed),
+                sense(2, ReadingKind.AUDIO, 10, seed)]
+    payload = aggregate(readings)
     frame = sink_transmit(30, payload, 0, key)
     return encode_frame(frame), sorted(readings)
 
@@ -416,13 +362,16 @@ def test_periods_beyond_duration_give_empty_report():
 def small_networks(draw):
     """Up to 2 sinks, 0-2 relays on each sink's route and 0-1 on each hub's,
     1-3 sensors per hub with periods that may exceed the run, corruption
-    hooks, and registry entries that match, are missing or differ."""
+    hooks, and registry entries that match, are missing or differ.  Hook
+    bits stay below the longest frame any hub can send, which validation
+    requires; a frame shorter than that may still end before the bit."""
     fusion = 99
     duration = draw(st.integers(1, 40))
     nodes = [NodeSpec(fusion, "fusion_center")]
     edges, routes, keys, registry = [], {}, {}, {}
     next_id = iter(range(100, 200))
     sensor_ids = iter(range(1, 100))
+    largest_batch = 0
 
     def path_to(start, end, relays):
         path = [start] + [next(next_id) for _ in range(relays)] + [end]
@@ -444,19 +393,25 @@ def small_networks(draw):
             hub = next(next_id)
             nodes.append(NodeSpec(hub, "hub"))
             routes[hub] = path_to(hub, sink, draw(st.integers(0, 1)))
+            batch = 2
             for _ in range(draw(st.integers(1, 3))):
                 sensor = next(sensor_ids)
+                kind = draw(st.sampled_from(list(ReadingKind)))
                 nodes.append(NodeSpec(
                     sensor,
                     "sensor",
-                    draw(st.sampled_from(list(ReadingKind))),
+                    kind,
                     draw(st.none() | st.integers(1, duration + 5)),
                 ))
                 edges.append((sensor, hub))
+                batch += 8 + VALUE_LENGTHS[kind]
+            largest_batch = max(largest_batch, batch)
+    frame_bits = 8 * (HEADER_LEN + largest_batch + 1)
     corruption = tuple(
         FrameCorruption(frame, bit)
         for frame, bit in draw(st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 600)), max_size=3
+            st.tuples(st.integers(0, 30), st.integers(0, frame_bits - 1)),
+            max_size=3,
         ))
     )
     return SimConfig(
@@ -538,6 +493,10 @@ def _set(field, value):
         ("edges.0.0", "1"),
         ("edges.0.1", 10.0),
         ("edges.0.1", True),
+        ("routes", {"010": [10, 30], "30": [30, 20, 99]}),
+        ("keys", {"+30": "5a5a5a5a5a5a5a5a"}),
+        ("fusion_registry", {"3_0": "5a5a5a5a5a5a5a5a"}),
+        ("keys", {" 30": "5a5a5a5a5a5a5a5a"}),
     ],
 )
 def test_config_rejects_bad_shapes_and_types(field, value):
@@ -550,6 +509,18 @@ def test_config_object_keys_parse_as_ids():
     config = config_from_dict(demo_dict())  # "10", "30" as JSON object keys
     assert set(config.topology.routes) == {10, 30}
     assert set(config.sink_keys) == set(config.registry) == {30}
+
+
+def test_corruption_bit_past_longest_frame_is_rejected():
+    config = load_config(str(CONFIG_PATH))
+    # every demo frame carries both sensors: 12 + 2 + (8 + 2) + (8 + 16) bytes
+    last = dataclasses.replace(config, corruption=(FrameCorruption(0, 383),))
+    assert run_simulation(last).frames_rejected == {"checksum_mismatch": 1}
+    with pytest.raises(InvalidConfigError) as err:
+        dataclasses.replace(config, corruption=(FrameCorruption(0, 384),))
+    assert err.value.problems == [
+        "corruption bit 384 is past the longest possible frame (384 bits)"
+    ]
 
 
 def test_config_is_validated_when_built():
