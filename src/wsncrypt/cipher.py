@@ -10,11 +10,15 @@ The pipeline works on bit streams (MSB-first within each source byte):
 Every stage is a position permutation or a per-bit XOR, so ciphertext length
 always equals plaintext length and the two directions are exact inverses.
 
-The public `encrypt`/`decrypt` take a byte-level fast path: the adjacent swap
-never crosses a byte boundary (pairs 0-1, 2-3, ... live inside one byte), so
-it reduces to a 256-entry translation table, and the whole pipeline collapses
-to table lookups plus one wide XOR.  The bit-stream functions below are the
-definitional forms; the test suite proves the fast path equal to them.
+The public `encrypt`/`decrypt` work on bytes.  The adjacent swap stays
+inside each byte and is linear over XOR, and the complement is an XOR with
+all ones, so ciphertext byte j is ``SWAP_NOT[p_j ^ k_(j mod L)]``, SWAP_NOT
+being the complemented swap table.  From `_BULK` bytes up, each of the L key
+bytes gets its own 256-entry table and translates every L-th byte; shorter
+messages (simulator frames, trial blocks) cost less as one swap translate
+and one message-wide integer XOR.  The bit-stream functions below are the
+definitional forms; the tests prove both paths equal to them and to a
+bit-at-a-time reference.
 
 This is a toy cipher: one known plaintext block leaks the whole keystream
 (see `wsncrypt.keyspace`).  Do not use it to protect anything real.
@@ -28,6 +32,15 @@ MAX_KEY_BYTES = 32
 
 # Swap bit pairs (0,1), (2,3), (4,5), (6,7) of the MSB-first bit order.
 _SWAP_TABLE = bytes(((b & 0x55) << 1) | ((b & 0xAA) >> 1) for b in range(256))
+
+# Measured crossover: from here up the per-key-byte tables beat the
+# big-integer path for every key length 1..32.
+_BULK = 32 * 1024
+
+# The swap table complemented (SWAP_NOT), and 256 copies of byte 0x01, as
+# 2048-bit integers: the table for key byte k is SWAP_NOT ^ (k * _EVERY_BYTE).
+_SWAP_NOT = int.from_bytes(_SWAP_TABLE, "big") ^ ((1 << 2048) - 1)
+_EVERY_BYTE = int.from_bytes(b"\x01" * 256, "big")
 
 
 class EmptyKeyError(ValueError):
@@ -105,6 +118,20 @@ def complement(bits: Sequence[int]) -> List[int]:
     return [b ^ 1 for b in bits]
 
 
+def _translate_per_key_byte(data: bytes, stream_key: bytes) -> bytes:
+    """Map byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j % L]``."""
+    tables = [
+        (_SWAP_NOT ^ k * _EVERY_BYTE).to_bytes(256, "big") for k in stream_key
+    ]
+    step = len(tables)
+    if step == 1:
+        return data.translate(tables[0])
+    out = bytearray(len(data))
+    for i, table in enumerate(tables):
+        out[i::step] = data[i::step].translate(table)
+    return bytes(out)
+
+
 def _keystream(key: bytes, length: int) -> bytes:
     swapped = key.translate(_SWAP_TABLE)
     reps = -(-length // len(swapped))
@@ -122,6 +149,9 @@ def encrypt(plaintext: bytes, key: bytes) -> bytes:
     n = len(plaintext)
     if n == 0:
         return b""
+    if n >= _BULK:
+        # SWAP_NOT[p ^ k] == SWAP_NOT[p] ^ swap(k): the swap is linear.
+        return _translate_per_key_byte(plaintext, key.translate(_SWAP_TABLE))
     shuffled = plaintext.translate(_SWAP_TABLE)
     stream = _keystream(key, n)
     full = (1 << (8 * n)) - 1
@@ -137,6 +167,9 @@ def decrypt(ciphertext: bytes, key: bytes) -> bytes:
     n = len(ciphertext)
     if n == 0:
         return b""
+    if n >= _BULK:
+        # swap(~c ^ swap(k)) == SWAP_NOT[c] ^ k.
+        return _translate_per_key_byte(ciphertext, key)
     stream = _keystream(key, n)
     full = (1 << (8 * n)) - 1
     value = (

@@ -10,6 +10,7 @@ is always plain text (NO_COLOR needs no special handling).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -265,7 +266,10 @@ def cmd_vectors(_args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call
+    of `main`; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wsncrypt",
         description="Key-directed bit-shuffle cipher and telemetry simulator",

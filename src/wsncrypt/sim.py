@@ -481,10 +481,23 @@ def _keys(doc: dict, name: str) -> Dict[int, bytes]:
     }
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    # json.load alone keeps the last of two equal keys, so a repeated sink
+    # id in "keys", "routes" or "fusion_registry" would pass unnoticed
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise InvalidConfigError([f"config repeats the key {name!r}"])
+            seen.add(name)
+    return obj
+
+
 def load_config(path: str) -> SimConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InvalidConfigError([f"cannot read config: {exc}"]) from exc
     except UnicodeDecodeError as exc:

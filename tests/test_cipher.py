@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsncrypt.cipher import (
+    _BULK,
     EmptyKeyError,
     KeyLengthError,
     NonByteAlignedError,
@@ -218,3 +219,43 @@ def test_determinism():
     plaintext, key = b"same input, same output", b"fixed"
     assert encrypt(plaintext, key) == encrypt(plaintext, key)
     assert decrypt(plaintext, key) == decrypt(plaintext, key)
+
+
+# -- the bulk path (messages of at least _BULK bytes) ---------------------------
+
+
+@pytest.mark.parametrize(
+    "size, key_len",
+    [(_BULK - 1, 3), (_BULK, 1), (_BULK + 1, 8), (3 * _BULK + 5, 32)],
+)
+def test_bulk_boundary_against_bit_at_a_time_reference(size, key_len):
+    # One reference call per case (~0.1 s per 32 KiB); the reference pair is
+    # mutually inverse, so decrypt(ref_encrypt(p)) == p also pins decrypt.
+    rng = random.Random(size * 33 + key_len)
+    plaintext = rng.randbytes(size)
+    key = rng.randbytes(key_len)
+    ciphertext = ref_encrypt(plaintext, key)
+    assert encrypt(plaintext, key) == ciphertext
+    assert decrypt(ciphertext, key) == plaintext
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(_BULK - 40, _BULK + 40),
+    st.integers(0, 2**32 - 1),
+    keys,
+)
+def test_bulk_matches_short_path_block_by_block(size, seed, key):
+    # Blocks start at multiples of the key length and stay below _BULK, so
+    # each one takes the short path with the key stream in phase.
+    plaintext = random.Random(seed).randbytes(size)
+    block = _BULK // 2 // len(key) * len(key)
+    blocks = range(0, size, block)
+    ciphertext = encrypt(plaintext, key)
+    assert ciphertext == b"".join(
+        encrypt(plaintext[i : i + block], key) for i in blocks
+    )
+    assert decrypt(plaintext, key) == b"".join(
+        decrypt(plaintext[i : i + block], key) for i in blocks
+    )
+    assert decrypt(ciphertext, key) == plaintext

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import wsncrypt.cli as cli
+from wsncrypt.cipher import _BULK, encrypt
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
 
@@ -88,6 +89,27 @@ def test_file_round_trip(tmp_path, capsys):
     assert run(["decrypt", "--in", str(encrypted), "--key-hex", "00ff5a",
                 "--out", str(restored)]) == 0
     assert restored.read_bytes() == payload
+
+
+def test_in_place_bulk_file_round_trip(tmp_path):
+    path = tmp_path / "data.bin"
+    payload = bytes(range(256)) * (_BULK // 256) + b"tail"
+    path.write_bytes(payload)
+    args = ["--in", str(path), "--key-hex", "00ff5a", "--out", str(path)]
+    assert run(["encrypt", *args]) == 0
+    assert path.read_bytes() == encrypt(payload, b"\x00\xff\x5a")
+    assert run(["decrypt", *args]) == 0
+    assert path.read_bytes() == payload
+
+
+def test_main_runs_different_subcommands_in_one_process(capsys):
+    assert run(["encrypt", "--in-hex", "4142", "--key-hex", "5a"]) == 0
+    assert capsys.readouterr().out.strip() == "d8db"
+    assert run(["estimate", "--key-bits", "8", "--rate", "1"]) == 0
+    assert "total_keys=256" in capsys.readouterr().out
+    assert run(["decrypt", "--in-hex", "d8db", "--key-hex", "5a"]) == 0
+    assert capsys.readouterr().out.strip() == "4142"
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_unreadable_input_is_io_error(tmp_path):
@@ -235,6 +257,10 @@ def test_simulate_malformed_config_exits_cleanly(tmp_path):
                              "'routes' must be a JSON object"),
         "utf-16.json": (b"\xff\xfe" + CONFIG_PATH.read_text().encode("utf-16-le"),
                         "config is not UTF-8"),
+        "repeated-key.json": (
+            CONFIG_PATH.read_bytes().replace(
+                b'"keys": {', b'"keys": {"30": "0101", '),
+            "config repeats the key '30'"),
     }
     for name, (content, message) in cases.items():
         config_path = tmp_path / name

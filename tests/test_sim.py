@@ -586,6 +586,25 @@ def test_load_config_bad_json(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("keys", '{"30": "5a5a5a5a5a5a5a5a", "30": "0101"}'),
+        ("routes", '{"10": [10, 30], "30": [30, 20, 99], "30": [30, 20, 99]}'),
+        ("fusion_registry", '{"30": "5a5a5a5a5a5a5a5a", "30": "0101"}'),
+    ],
+)
+def test_load_config_rejects_repeated_keys(tmp_path, field, text):
+    doc = demo_dict()
+    doc[field] = None
+    path = tmp_path / "repeated.json"
+    content = json.dumps(doc).replace(f'"{field}": null', f'"{field}": {text}')
+    path.write_text(content)
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(str(path))
+    assert err.value.problems == ["config repeats the key '30'"]
+
+
 def test_report_json_shape():
     report = run_simulation(load_config(str(CONFIG_PATH)))
     doc = report_to_dict(report)
