@@ -12,13 +12,15 @@ always equals plaintext length and the two directions are exact inverses.
 
 The public `encrypt`/`decrypt` work on bytes.  The adjacent swap stays
 inside each byte and is linear over XOR, and the complement is an XOR with
-all ones, so ciphertext byte j is ``SWAP_NOT[p_j ^ k_(j mod L)]``, SWAP_NOT
-being the complemented swap table.  From `_BULK` bytes up, each of the L key
-bytes gets its own 256-entry table and translates every L-th byte; shorter
-messages (simulator frames, trial blocks) cost less as one swap translate
-and one message-wide integer XOR.  The bit-stream functions below are the
-definitional forms; the tests prove both paths equal to them and to a
-bit-at-a-time reference.
+all ones, so both directions are one byte map, ``SWAP_NOT[x_j] ^ s_(j mod
+L)`` with SWAP_NOT the complemented swap table: encrypt maps the plaintext
+with s = swap(k), decrypt maps the ciphertext with s = k.  The map has one
+length fork.  From `_BULK` bytes up, each of the L stream bytes gets its
+own 256-entry table and translates every L-th byte; shorter messages
+(simulator frames, trial blocks) cost less as one SWAP_NOT translate and
+one message-wide integer XOR.  The bit-stream functions below are the
+definitional forms; the tests prove both sides of the fork equal to them
+and to a bit-at-a-time reference.
 
 This is a toy cipher: one known plaintext block leaks the whole keystream
 (see `wsncrypt.keyspace`).  Do not use it to protect anything real.
@@ -37,9 +39,12 @@ _SWAP_TABLE = bytes(((b & 0x55) << 1) | ((b & 0xAA) >> 1) for b in range(256))
 # big-integer path for every key length 1..32.
 _BULK = 32 * 1024
 
-# The swap table complemented (SWAP_NOT), and 256 copies of byte 0x01, as
-# 2048-bit integers: the table for key byte k is SWAP_NOT ^ (k * _EVERY_BYTE).
-_SWAP_NOT = int.from_bytes(_SWAP_TABLE, "big") ^ ((1 << 2048) - 1)
+# The swap and the final complement in one lookup.
+_SWAP_NOT_TABLE = bytes(s ^ 0xFF for s in _SWAP_TABLE)
+
+# SWAP_NOT, and 256 copies of byte 0x01, as 2048-bit integers: the table
+# for key byte k is _SWAP_NOT ^ (k * _EVERY_BYTE).
+_SWAP_NOT = int.from_bytes(_SWAP_NOT_TABLE, "big")
 _EVERY_BYTE = int.from_bytes(b"\x01" * 256, "big")
 
 
@@ -118,24 +123,23 @@ def complement(bits: Sequence[int]) -> List[int]:
     return [b ^ 1 for b in bits]
 
 
-def _translate_per_key_byte(data: bytes, stream_key: bytes) -> bytes:
+def _swap_not_xor(data: bytes, stream_key: bytes) -> bytes:
     """Map byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j % L]``."""
-    tables = [
-        (_SWAP_NOT ^ k * _EVERY_BYTE).to_bytes(256, "big") for k in stream_key
-    ]
-    step = len(tables)
-    if step == 1:
-        return data.translate(tables[0])
-    out = bytearray(len(data))
-    for i, table in enumerate(tables):
-        out[i::step] = data[i::step].translate(table)
-    return bytes(out)
-
-
-def _keystream(key: bytes, length: int) -> bytes:
-    swapped = key.translate(_SWAP_TABLE)
-    reps = -(-length // len(swapped))
-    return (swapped * reps)[:length]
+    n = len(data)
+    if n >= _BULK:
+        tables = [
+            (_SWAP_NOT ^ k * _EVERY_BYTE).to_bytes(256, "big") for k in stream_key
+        ]
+        step = len(tables)
+        if step == 1:
+            return data.translate(tables[0])
+        out = bytearray(n)
+        for i, table in enumerate(tables):
+            out[i::step] = data[i::step].translate(table)
+        return bytes(out)
+    stream = (stream_key * -(-n // len(stream_key)))[:n]
+    value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")
+    return (value ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
 
 
 def encrypt(plaintext: bytes, key: bytes) -> bytes:
@@ -146,33 +150,12 @@ def encrypt(plaintext: bytes, key: bytes) -> bytes:
     plaintext)), adjacent_swap(bytes_to_bits(key)))))`` but byte-at-a-time.
     """
     _check_key(key)
-    n = len(plaintext)
-    if n == 0:
-        return b""
-    if n >= _BULK:
-        # SWAP_NOT[p ^ k] == SWAP_NOT[p] ^ swap(k): the swap is linear.
-        return _translate_per_key_byte(plaintext, key.translate(_SWAP_TABLE))
-    shuffled = plaintext.translate(_SWAP_TABLE)
-    stream = _keystream(key, n)
-    full = (1 << (8 * n)) - 1
-    value = (
-        int.from_bytes(shuffled, "big") ^ int.from_bytes(stream, "big") ^ full
-    )
-    return value.to_bytes(n, "big")
+    # ~swap(p ^ k) == SWAP_NOT[p] ^ swap(k): the swap is linear.
+    return _swap_not_xor(plaintext, key.translate(_SWAP_TABLE))
 
 
 def decrypt(ciphertext: bytes, key: bytes) -> bytes:
     """Exact inverse of `encrypt` under the same key."""
     _check_key(key)
-    n = len(ciphertext)
-    if n == 0:
-        return b""
-    if n >= _BULK:
-        # swap(~c ^ swap(k)) == SWAP_NOT[c] ^ k.
-        return _translate_per_key_byte(ciphertext, key)
-    stream = _keystream(key, n)
-    full = (1 << (8 * n)) - 1
-    value = (
-        int.from_bytes(ciphertext, "big") ^ full ^ int.from_bytes(stream, "big")
-    )
-    return value.to_bytes(n, "big").translate(_SWAP_TABLE)
+    # swap(~c ^ swap(k)) == SWAP_NOT[c] ^ k.
+    return _swap_not_xor(ciphertext, key)

@@ -126,10 +126,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     estimate = estimate_brute_force(
         AttackModel(key_length_bits=args.key_bits, keys_per_second=rate, mode=mode)
     )
-    print(f"total_keys={estimate.total_keys}")
-    print(f"seconds={estimate.seconds}")
-    print(f"years_exact={estimate.years}")
-    print(f"years={estimate.years_floor}")
+    try:
+        # formatted before printing, so a failure leaves stdout empty
+        text = (
+            f"total_keys={estimate.total_keys}\n"
+            f"seconds={estimate.seconds}\n"
+            f"years_exact={estimate.years}\n"
+            f"years={estimate.years_floor}"
+        )
+    except ValueError as exc:  # the interpreter's int-to-str digit limit
+        return _fail_usage(f"result is too large to print: {exc}")
+    print(text)
     return EXIT_OK
 
 

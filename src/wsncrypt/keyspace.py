@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .cipher import _SWAP_TABLE, encrypt
+from .cipher import _SWAP_NOT_TABLE, encrypt
 
 SECONDS_PER_YEAR = 86400 * 365
 
@@ -96,12 +96,9 @@ def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
         raise LengthMismatchError(
             "plaintext and ciphertext must be the same non-zero length"
         )
+    undone = ciphertext.translate(_SWAP_NOT_TABLE)
+    stream = int.from_bytes(undone, "big") ^ int.from_bytes(known_plaintext, "big")
     width = 8 * len(ciphertext)
-    stream = (
-        int.from_bytes(ciphertext.translate(_SWAP_TABLE), "big")
-        ^ int.from_bytes(known_plaintext, "big")
-        ^ ((1 << width) - 1)
-    )
     # zero-padded binary digits are the bits MSB first
     return list(format(stream, f"0{width}b").encode().translate(_DIGIT_BITS))
 

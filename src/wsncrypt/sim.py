@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import rng
@@ -500,10 +500,17 @@ def load_config(path: str) -> SimConfig:
             doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InvalidConfigError([f"cannot read config: {exc}"]) from exc
+    except InvalidConfigError:  # from _unique_keys, already worded
+        raise
     except UnicodeDecodeError as exc:
         raise InvalidConfigError([f"config is not UTF-8: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError([f"config is not valid JSON: {exc}"]) from exc
+    except (RecursionError, ValueError) as exc:
+        # json.load's nesting depth and integer-digit limits
+        raise InvalidConfigError(
+            [f"config exceeds a JSON parser limit: {exc}"]
+        ) from exc
     if not isinstance(doc, dict):
         raise InvalidConfigError(["config root must be a JSON object"])
     return config_from_dict(doc)
@@ -511,20 +518,8 @@ def load_config(path: str) -> SimConfig:
 
 def report_to_dict(report: SimReport) -> dict:
     """JSON-ready view of a report; sink ids become string keys."""
-    return {
-        "readings_sensed": report.readings_sensed,
-        "frames_sent": report.frames_sent,
-        "frames_delivered": report.frames_delivered,
-        "frames_rejected": dict(sorted(report.frames_rejected.items())),
-        "readings_recovered": report.readings_recovered,
-        "fidelity_ok": report.fidelity_ok,
-        "per_sink": {
-            str(sink): {
-                "frames_sent": stats.frames_sent,
-                "frames_delivered": stats.frames_delivered,
-                "frames_rejected": stats.frames_rejected,
-                "readings_recovered": stats.readings_recovered,
-            }
-            for sink, stats in sorted(report.per_sink.items())
-        },
-    }
+    doc = asdict(report)
+    doc["frames_rejected"] = dict(sorted(report.frames_rejected.items()))
+    per_sink = doc["per_sink"]
+    doc["per_sink"] = {str(sink): per_sink[sink] for sink in sorted(per_sink)}
+    return doc

@@ -170,6 +170,18 @@ def test_estimate_bad_rate_rejected():
     assert run(["estimate", "--key-bits", "64", "--rate", "0"]) == 2
 
 
+def test_estimate_result_too_long_to_print_rejected(capsys):
+    # Python refuses to print an int of more than 4,300 digits by default
+    for key_bits, rate in (("20000", "1"), ("64", "1e-5000")):
+        assert run(["estimate", "--key-bits", key_bits, "--rate", rate]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: result is too large to print")
+        assert err.count("\n") == 1
+    assert run(["estimate", "--key-bits", "14000", "--rate", "1"]) == 0
+    assert capsys.readouterr().out.startswith("total_keys=")
+
+
 # -- attack -----------------------------------------------------------------------
 
 
@@ -261,6 +273,11 @@ def test_simulate_malformed_config_exits_cleanly(tmp_path):
             CONFIG_PATH.read_bytes().replace(
                 b'"keys": {', b'"keys": {"30": "0101", '),
             "config repeats the key '30'"),
+        "deep.json": (b"[" * 200_000, "config exceeds a JSON parser limit"),
+        "long-seed.json": (
+            json.dumps({**doc, "seed": None}).replace(
+                '"seed": null', '"seed": ' + "9" * 5000).encode(),
+            "config exceeds a JSON parser limit"),
     }
     for name, (content, message) in cases.items():
         config_path = tmp_path / name

@@ -237,6 +237,39 @@ def test_fusion_receive_propagates_decode_errors():
         fusion_receive(mangled, {30: b"Z" * 8})
 
 
+@st.composite
+def received_frames(draw):
+    """Noise, or a frame from a known or an unknown sink sealed under the
+    registered key or another, perhaps with one byte overwritten."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    batch = draw(st.lists(st.builds(
+        SensorReading,
+        node_id=st.integers(0, 0xFFFF),
+        timestamp=st.integers(0, 0xFFFFFFFF),
+        kind=st.sampled_from(ReadingKind),
+        value=st.binary(max_size=40),
+    ), max_size=4))
+    frame = sink_transmit(
+        draw(st.sampled_from([30, 31])),
+        encode_readings(batch),
+        draw(st.integers(0, 0xFFFFFFFF)),
+        draw(st.just(b"Z" * 8) | st.binary(min_size=1, max_size=32)),
+    )
+    encoded = bytearray(encode_frame(frame))
+    if draw(st.booleans()):
+        encoded[draw(st.integers(0, len(encoded) - 1))] = draw(st.integers(0, 255))
+    return bytes(encoded)
+
+
+@given(received_frames())
+def test_fusion_receive_raises_only_decode_errors(data):
+    try:
+        fusion_receive(data, {30: b"Z" * 8})
+    except DecodeError:
+        pass
+
+
 def test_key_isolation():
     # another sink's key never reproduces the original readings
     encoded, readings = end_to_end_frame(key=b"Z" * 8)
@@ -505,6 +538,46 @@ def test_config_rejects_bad_shapes_and_types(field, value):
     assert all(p.startswith("malformed config") for p in err.value.problems)
 
 
+def _json_paths(node, path=()):
+    """Key/index paths of every value nested in a parsed JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for step, child in children:
+        yield path + (step,)
+        yield from _json_paths(child, path + (step,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(
+    st.sampled_from(
+        [*_json_paths(demo_dict()), ("fusion_registry",), ("corruption",)]
+    ),
+    json_values,
+)
+def test_config_from_dict_raises_only_invalid_config_error(path, value):
+    doc = demo_dict()
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    try:
+        config_from_dict(doc)
+    except InvalidConfigError:
+        pass
+
+
 def test_config_object_keys_parse_as_ids():
     config = config_from_dict(demo_dict())  # "10", "30" as JSON object keys
     assert set(config.topology.routes) == {10, 30}
@@ -584,6 +657,24 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InvalidConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "content, cause",
+    [
+        ("[" * 200_000, "maximum recursion depth"),
+        ('{"seed": ' + "9" * 5000 + "}", "integer string conversion"),
+    ],
+    ids=["nested-200000-deep", "5000-digit-int"],
+)
+def test_load_config_turns_parser_limits_into_invalid_config(tmp_path, content, cause):
+    path = tmp_path / "limit.json"
+    path.write_text(content)
+    with pytest.raises(InvalidConfigError) as err:
+        load_config(str(path))
+    [problem] = err.value.problems
+    assert problem.startswith("config exceeds a JSON parser limit")
+    assert cause in problem
 
 
 @pytest.mark.parametrize(

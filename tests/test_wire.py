@@ -192,6 +192,32 @@ def test_truncated_batches():
         decode_readings(good[:-1])  # value cut short
 
 
+# -- decoder contract ---------------------------------------------------------------
+
+
+@st.composite
+def damaged(draw, encodings):
+    """A valid encoding with one byte overwritten, then cut short or extended."""
+    blob = bytearray(draw(encodings))
+    if blob:
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(blob)))
+    return bytes(blob[:cut]) + draw(st.binary(max_size=3))
+
+
+@given(
+    st.binary(max_size=80)
+    | damaged(frames.map(encode_frame))
+    | damaged(st.lists(readings, max_size=5).map(encode_readings))
+)
+def test_decoders_raise_only_decode_error(data):
+    for decode in (decode_frame, decode_readings):
+        try:
+            decode(data)
+        except DecodeError:
+            pass
+
+
 def test_too_many_readings():
     reading = SensorReading(node_id=0, timestamp=0, kind=ReadingKind.SCALAR,
                             value=b"")
