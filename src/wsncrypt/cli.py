@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 self-check or fidelity failure, 2 bad usage,
 3 I/O failure, 4 key not found.  Data goes to stdout, diagnostics to
 stderr; hex is emitted lowercase and accepted case-insensitively.  Output
 is always plain text (NO_COLOR needs no special handling).
+
+Arguments are checked by the library calls they feed: a rejected argument
+is the library's own `ValueError`, which `main` prints as one `error:` line
+and turns into exit 2.
 """
 
 from __future__ import annotations
@@ -12,16 +16,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import secrets
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from . import rng
 from .cipher import (
     MAX_KEY_BYTES,
+    _check_key,
     adjacent_swap,
-    bits_to_bytes,
     bytes_to_bits,
     complement,
     decrypt,
@@ -57,37 +62,25 @@ def _parse_hex(text: str, what: str) -> bytes:
         raise ValueError(f"{what} is not valid hex: {text!r}") from None
 
 
-def _read_input(args: argparse.Namespace) -> bytes:
-    if args.in_hex is not None:
-        return _parse_hex(args.in_hex, "--in-hex")
-    with open(args.in_path, "rb") as handle:
-        return handle.read()
-
-
-def _write_output(args: argparse.Namespace, data: bytes) -> None:
-    if args.out is None:
-        print(data.hex())
-    else:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
-
-
 def _cmd_codec(args: argparse.Namespace, operation) -> int:
+    key = _parse_hex(args.key_hex, "--key-hex")
+    _check_key(key)  # before the input is read: a bad key is usage, not I/O
     try:
-        key = _parse_hex(args.key_hex, "--key-hex")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if not 1 <= len(key) <= MAX_KEY_BYTES:
-        return _fail_usage(f"key must be 1..{MAX_KEY_BYTES} bytes")
-    try:
-        data = _read_input(args)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+        if args.in_hex is not None:
+            data = _parse_hex(args.in_hex, "--in-hex")
+        else:
+            with open(args.in_path, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO
+    result = operation(data, key)
     try:
-        _write_output(args, operation(data, key))
+        if args.out is None:
+            print(result.hex())
+        else:
+            with open(args.out, "wb") as handle:
+                handle.write(result)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -118,14 +111,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         rate = Fraction(args.rate)
     except (ValueError, ZeroDivisionError):
         return _fail_usage(f"--rate is not a number: {args.rate!r}")
-    if args.key_bits < 1:
-        return _fail_usage("--key-bits must be >= 1")
-    if rate <= 0:
-        return _fail_usage("--rate must be > 0")
     mode = MODE_AVERAGE if args.mode == "average" else MODE_WORST_CASE
-    estimate = estimate_brute_force(
-        AttackModel(key_length_bits=args.key_bits, keys_per_second=rate, mode=mode)
-    )
+    model = AttackModel(key_length_bits=args.key_bits, keys_per_second=rate, mode=mode)
+    # 2**n (n / 8 bytes to build) has floor(n * log10(2)) + 1 digits
+    digit_limit = sys.get_int_max_str_digits()
+    if digit_limit and args.key_bits * math.log10(2) >= digit_limit:
+        return _fail_usage(
+            f"result is too large to print: 2**{args.key_bits} has more than"
+            f" {digit_limit} digits"
+        )
+    estimate = estimate_brute_force(model)
     try:
         # formatted before printing, so a failure leaves stdout empty
         text = (
@@ -141,18 +136,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    try:
-        plain = _parse_hex(args.plain_hex, "--plain-hex")
-        cipher = _parse_hex(args.cipher_hex, "--cipher-hex")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    if not 1 <= args.key_bytes <= MAX_SEARCH_KEY_BYTES:
-        return _fail_usage(f"--key-bytes must be 1..{MAX_SEARCH_KEY_BYTES}")
-    if len(plain) != len(cipher) or len(plain) < args.key_bytes:
-        return _fail_usage(
-            "plaintext and ciphertext must be the same length and at least"
-            " as long as the key"
-        )
+    plain = _parse_hex(args.plain_hex, "--plain-hex")
+    cipher = _parse_hex(args.cipher_hex, "--cipher-hex")
     key = exhaustive_search(plain, cipher, args.key_bytes)
     if key is None:
         print("not found")
@@ -185,23 +170,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- vectors -------------------------------------------------------------
 
 _KEY_BYTE = 90  # 'Z'
+_KEY_EXPECTED = ["01011010", "10100101"]
 
-# (label, byte, pre-stage bits, shuffled, xored, complemented, output byte)
-_ENC_EXPECTED = [
-    ("A", 65, "01000001", "10000010", "00100111", "11011000", 216),
-    ("B", 66, "01000010", "10000001", "00100100", "11011011", 219),
-]
-_KEY_EXPECTED = ("01011010", "10100101")
-
-# (byte, bits, complemented, key-xored, shuffled, output char)
-_DEC_EXPECTED = [
-    (216, "11011000", "00100111", "10000010", "01000001", "A"),
-    (219, "11011011", "00100100", "10000001", "01000010", "B"),
+# (plain byte, bits, shuffled, xored, inverted, cipher byte); decrypting the
+# cipher byte passes through the same bit strings in reverse order
+_EXPECTED = [
+    (65, "01000001", "10000010", "00100111", "11011000", 216),
+    (66, "01000010", "10000001", "00100100", "11011011", 219),
 ]
 
 
-def _bits_str(bits: Sequence[int]) -> str:
-    return "".join(str(b) for b in bits)
+def _walk(byte: int, stages) -> List[str]:
+    """The bits of `byte`, then its bits after each stage in turn."""
+    walked = [bytes_to_bits(bytes([byte]))]
+    for stage in stages:
+        walked.append(stage(walked[-1]))
+    return ["".join(map(str, bits)) for bits in walked]
 
 
 def cmd_vectors(_args: argparse.Namespace) -> int:
@@ -214,53 +198,29 @@ def cmd_vectors(_args: argparse.Namespace) -> int:
             failures.append(f"{where}: got {got!r}, want {want!r}")
 
     key = bytes([_KEY_BYTE])
-    key_bits = bytes_to_bits(key)
-    key_shuffled = adjacent_swap(key_bits)
-    check("key bits", _bits_str(key_bits), _KEY_EXPECTED[0])
-    check("key shuffled", _bits_str(key_shuffled), _KEY_EXPECTED[1])
+    key_bits, key_shuffled = _walk(_KEY_BYTE, (adjacent_swap,))
+    check("key", [key_bits, key_shuffled], _KEY_EXPECTED)
+    xor_key = functools.partial(key_directed_xor, key=adjacent_swap(bytes_to_bits(key)))
 
-    print("encryption (key 'Z' = 90, bits "
-          f"{_bits_str(key_bits)} -> shuffled {_bits_str(key_shuffled)})")
+    print(f"encryption (key 'Z' = 90, bits {key_bits} -> shuffled {key_shuffled})")
     print(f"{'char':>4} {'byte':>4} {'bits':>8} {'shuffled':>8} "
           f"{'xored':>8} {'inverted':>8} {'out':>3}")
-    for label, byte, want_bits, want_shuf, want_xor, want_inv, want_out in (
-        _ENC_EXPECTED
-    ):
-        bits = bytes_to_bits(bytes([byte]))
-        shuffled = adjacent_swap(bits)
-        xored = key_directed_xor(shuffled, key_shuffled)
-        inverted = complement(xored)
-        out = bits_to_bytes(inverted)[0]
-        check(f"{label} bits", _bits_str(bits), want_bits)
-        check(f"{label} shuffled", _bits_str(shuffled), want_shuf)
-        check(f"{label} xored", _bits_str(xored), want_xor)
-        check(f"{label} inverted", _bits_str(inverted), want_inv)
-        check(f"{label} output", out, want_out)
-        check(f"{label} encrypt()", encrypt(bytes([byte]), key), bytes([want_out]))
-        print(f"{label:>4} {byte:>4} {_bits_str(bits):>8} "
-              f"{_bits_str(shuffled):>8} {_bits_str(xored):>8} "
-              f"{_bits_str(inverted):>8} {out:>3}")
+    for plain, *want, out in _EXPECTED:
+        walked = _walk(plain, (adjacent_swap, xor_key, complement))
+        check(f"{chr(plain)} stages", walked, want)
+        check(f"{chr(plain)} encrypt()", encrypt(bytes([plain]), key),
+              bytes([out]))
+        print(f"{chr(plain):>4} {plain:>4} {' '.join(walked)} "
+              f"{int(walked[-1], 2):>3}")
 
     print("decryption")
     print(f"{'byte':>4} {'bits':>8} {'inverted':>8} {'xored':>8} "
           f"{'shuffled':>8} {'char':>4}")
-    for byte, want_bits, want_inv, want_xor, want_shuf, want_char in (
-        _DEC_EXPECTED
-    ):
-        bits = bytes_to_bits(bytes([byte]))
-        inverted = complement(bits)
-        xored = key_directed_xor(inverted, key_shuffled)
-        shuffled = adjacent_swap(xored)
-        char = chr(bits_to_bytes(shuffled)[0])
-        check(f"{byte} bits", _bits_str(bits), want_bits)
-        check(f"{byte} inverted", _bits_str(inverted), want_inv)
-        check(f"{byte} xored", _bits_str(xored), want_xor)
-        check(f"{byte} shuffled", _bits_str(shuffled), want_shuf)
-        check(f"{byte} char", char, want_char)
-        check(f"{byte} decrypt()", decrypt(bytes([byte]), key),
-              want_char.encode("ascii"))
-        print(f"{byte:>4} {_bits_str(bits):>8} {_bits_str(inverted):>8} "
-              f"{_bits_str(xored):>8} {_bits_str(shuffled):>8} {want_char:>4}")
+    for plain, *want, out in _EXPECTED:
+        walked = _walk(out, (complement, xor_key, adjacent_swap))
+        check(f"{out} stages", walked, want[::-1])
+        check(f"{out} decrypt()", decrypt(bytes([out]), key), bytes([plain]))
+        print(f"{out:>4} {' '.join(walked)} {chr(int(walked[-1], 2)):>4}")
 
     if failures:
         for failure in failures:
@@ -332,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # every library rejection of an argument
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -61,10 +61,6 @@ class BruteForceEstimate:
     def years_floor(self) -> int:
         return self.years.numerator // self.years.denominator
 
-    @property
-    def seconds_floor(self) -> int:
-        return self.seconds.numerator // self.seconds.denominator
-
 
 def estimate_brute_force(model: AttackModel) -> BruteForceEstimate:
     """Time to enumerate the keyspace at the model's guess rate.

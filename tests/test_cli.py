@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import wsncrypt.cli as cli
 from wsncrypt.cipher import _BULK, encrypt
 
@@ -120,6 +122,66 @@ def test_unreadable_input_is_io_error(tmp_path):
 def test_unwritable_output_is_io_error(tmp_path):
     assert run(["encrypt", "--in-hex", "41", "--key-hex", "5a",
                 "--out", str(tmp_path)]) == 3  # a directory, not a file
+
+
+# -- usage errors -----------------------------------------------------------------
+
+# (argv, part of the message); "{missing}" stands for a file that does not exist
+USAGE_ERRORS = {
+    "codec-empty-key": (["encrypt", "--in-hex", "41", "--key-hex", ""],
+                        "key must be at least 1 byte"),
+    "codec-33-byte-key": (["encrypt", "--in-hex", "41", "--key-hex", "ab" * 33],
+                          "key is 33 bytes, maximum is 32"),
+    "codec-bad-hex-key": (["decrypt", "--in-hex", "41", "--key-hex", "5g"],
+                          "--key-hex is not valid hex"),
+    "codec-odd-hex-input": (["decrypt", "--in-hex", "d8d", "--key-hex", "5a"],
+                            "--in-hex is not valid hex"),
+    "codec-bad-key-missing-file": (
+        ["encrypt", "--in", "{missing}", "--key-hex", ""],
+        "key must be at least 1 byte"),
+    "estimate-zero-bits": (["estimate", "--key-bits", "0", "--rate", "1"],
+                           "key_length_bits must be >= 1"),
+    "estimate-zero-rate": (["estimate", "--key-bits", "8", "--rate", "0"],
+                           "keys_per_second must be > 0"),
+    "estimate-word-rate": (["estimate", "--key-bits", "8", "--rate", "fast"],
+                           "--rate is not a number"),
+    "estimate-rate-over-zero": (["estimate", "--key-bits", "8", "--rate", "1/0"],
+                                "--rate is not a number"),
+    # refused before 2**n is built: building it would take 125 GB
+    "estimate-trillion-bits": (
+        ["estimate", "--key-bits", "1000000000000", "--rate", "1"],
+        "result is too large to print"),
+    "attack-zero-key-bytes": (["attack", "--plain-hex", "41", "--cipher-hex",
+                               "d8", "--key-bytes", "0"],
+                              "key_length_bytes must be in 1..3"),
+    "attack-four-key-bytes": (["attack", "--plain-hex", "41424344",
+                               "--cipher-hex", "d8db0000", "--key-bytes", "4"],
+                              "key_length_bytes must be in 1..3"),
+    "attack-length-mismatch": (["attack", "--plain-hex", "4142", "--cipher-hex",
+                                "d8", "--key-bytes", "1"],
+                               "need equal-length plaintext/ciphertext"),
+    "attack-bad-hex": (["attack", "--plain-hex", "4x42", "--cipher-hex",
+                        "d8db", "--key-bytes", "1"],
+                       "--plain-hex is not valid hex"),
+    "keygen-zero-bytes": (["keygen", "--key-bytes", "0"],
+                          "--key-bytes must be 1..32"),
+    "keygen-33-bytes": (["keygen", "--key-bytes", "33"],
+                        "--key-bytes must be 1..32"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(),
+                         ids=USAGE_ERRORS)
+def test_usage_error_is_one_error_line_and_exit_2(argv, message, tmp_path,
+                                                  capsys):
+    argv = [arg.replace("{missing}", str(tmp_path / "absent.bin"))
+            for arg in argv]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
 
 
 # -- keygen -----------------------------------------------------------------------
