@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import secrets
 import sys
 from fractions import Fraction
@@ -106,7 +107,22 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Fraction(text) builds 10**exponent before any check, so the text is bounded
+# first; both bounds are far past any real key rate and parse in microseconds
+_MAX_RATE_CHARS = 1_000
+_MAX_RATE_EXPONENT = 10_000
+# a decimal exponent as Fraction reads one: at the end of the text
+_RATE_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
+    if len(args.rate) > _MAX_RATE_CHARS:
+        return _fail_usage(f"--rate is longer than {_MAX_RATE_CHARS} characters")
+    exponent = _RATE_EXPONENT.search(args.rate)
+    if exponent and abs(int(exponent[1])) > _MAX_RATE_EXPONENT:
+        return _fail_usage(
+            f"--rate exponent is outside ±{_MAX_RATE_EXPONENT}: {args.rate!r}"
+        )
     try:
         rate = Fraction(args.rate)
     except (ValueError, ZeroDivisionError):

@@ -19,8 +19,8 @@ def mix64(x: int) -> int:
 
 def derive_bytes(seed: int, length: int) -> bytes:
     """First `length` bytes of the mix64 stream seeded by `seed`."""
-    out = bytearray()
     words = -(-length // 8)
-    for i in range(words):
-        out += mix64((seed + (i + 1) * GOLDEN) & MASK64).to_bytes(8, "big")
-    return bytes(out[:length])
+    acc = 0
+    for i in range(1, words + 1):
+        acc = (acc << 64) | mix64((seed + i * GOLDEN) & MASK64)
+    return acc.to_bytes(8 * words, "big")[:length]

@@ -25,8 +25,10 @@ Configs load from JSON; see `config_from_dict` for the exact field names.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
+import operator
 import re
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -136,14 +138,26 @@ def sense(node_id: int, kind: ReadingKind, tick: int, seed: int) -> SensorReadin
     Value bytes come from the documented multiply-xor-shift mixer; length
     is fixed per kind (scalar 2, audio 16, video 32).
     """
-    stream_seed = rng.mix64(seed) ^ rng.mix64((node_id << 32) | (tick & 0xFFFFFFFF))
+    stream_seed = _mixed_seed(seed) ^ rng.mix64((node_id << 32) | (tick & 0xFFFFFFFF))
     value = rng.derive_bytes(stream_seed, VALUE_LENGTHS[kind])
-    return SensorReading(node_id=node_id, timestamp=tick, kind=kind, value=value)
+    return SensorReading(node_id, tick, kind, value)
+
+
+# a run senses every reading under one seed, so one entry saves all but the
+# first of its mixes
+@functools.lru_cache(maxsize=1)
+def _mixed_seed(seed: int) -> int:
+    return rng.mix64(seed)
+
+
+# the key, not the whole reading: equal (node_id, timestamp) pairs keep
+# their input order
+_NODE_THEN_TIME = operator.attrgetter("node_id", "timestamp")
 
 
 def aggregate(readings: Sequence[SensorReading]) -> bytes:
     """Serialize a hub's batch, ordered by (node_id, timestamp)."""
-    return encode_readings(sorted(readings, key=lambda r: (r.node_id, r.timestamp)))
+    return encode_readings(sorted(readings, key=_NODE_THEN_TIME))
 
 
 def sink_transmit(sink_id: int, payload: bytes, sequence: int, key: bytes) -> Frame:

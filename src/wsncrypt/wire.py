@@ -12,7 +12,9 @@ Frame layout (all integers big-endian):
 
 Reading record layout: node_id (u16) | timestamp (u32) | kind (u8) |
 value_length (u8) | value bytes.  A batch is a u16 record count followed by
-that many records.
+that many records.  A decoded record is a `SensorReading`, an immutable
+named tuple `(node_id, timestamp, kind, value)`: it unpacks, orders,
+compares and hashes as that plain tuple, and equals one.
 
 The checksum is a one-byte XOR fold: weak as checksums go, but it detects
 every single-bit flip, which is all the delivery pipeline needs.  Frame
@@ -25,7 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
@@ -82,13 +84,18 @@ class ReadingKind(IntEnum):
     VIDEO = 2
 
 
-# a tuple, not a set: membership of an unhashable kind is False, not TypeError
+# a tuple, not a set: membership of an unhashable kind is False, not TypeError;
+# kind codes run 0, 1, 2, so a code in range is also its index here
 _KINDS = tuple(ReadingKind)
 
+# one reading record's fixed part: node_id, timestamp, kind, value_length
+_RECORD = struct.Struct(">HIBB")
+_COUNT = struct.Struct(">H")
 
-@dataclass(frozen=True, order=True)
-class SensorReading:
-    """One sensed parameter; ordering is (node_id, timestamp, ...)."""
+
+class SensorReading(NamedTuple):
+    """One sensed parameter: an immutable (node_id, timestamp, kind, value)
+    tuple, so ordering is (node_id, timestamp, ...)."""
 
     node_id: int
     timestamp: int
@@ -108,9 +115,14 @@ class Frame:
 
 def xor_fold(data: bytes) -> int:
     """One-byte XOR of all input bytes."""
-    acc = 0
-    for b in data:
-        acc ^= b
+    # XOR the top half of the byte lanes onto the bottom half until one lane
+    # is left: each pass keeps the XOR of all lanes, in log2(len) big-int ops
+    acc = int.from_bytes(data, "big")
+    lanes = len(data)
+    while lanes > 1:
+        lanes = (lanes + 1) // 2
+        shift = 8 * lanes
+        acc = (acc >> shift) ^ (acc & ((1 << shift) - 1))
     return acc
 
 
@@ -179,17 +191,13 @@ def encode_readings(readings: Sequence[SensorReading]) -> bytes:
         raise TooManyReadingsError(
             f"{len(readings)} readings exceed the u16 batch count"
         )
-    out = bytearray(struct.pack(">H", len(readings)))
+    out = bytearray(_COUNT.pack(len(readings)))
+    pack = _RECORD.pack
     for reading in readings:
         _check_reading(reading)
-        out += struct.pack(
-            ">HIBB",
-            reading.node_id,
-            reading.timestamp,
-            int(reading.kind),
-            len(reading.value),
-        )
-        out += reading.value
+        node_id, timestamp, kind, value = reading
+        out += pack(node_id, timestamp, int(kind), len(value))
+        out += value
     return bytes(out)
 
 
@@ -197,31 +205,25 @@ def decode_readings(data: bytes) -> List[SensorReading]:
     """Inverse of `encode_readings`; rejects trailing garbage."""
     if len(data) < 2:
         raise TruncatedError("batch shorter than its count field")
-    (count,) = struct.unpack(">H", data[:2])
+    (count,) = _COUNT.unpack_from(data)
+    end = len(data)
     pos = 2
     readings = []
+    unpack_from = _RECORD.unpack_from
     for _ in range(count):
-        if len(data) - pos < 8:
+        if end - pos < _RECORD.size:
             raise TruncatedError("record header runs past end of batch")
-        node_id, timestamp, kind_code, value_len = struct.unpack(
-            ">HIBB", data[pos : pos + 8]
-        )
-        pos += 8
-        try:
-            kind = ReadingKind(kind_code)
-        except ValueError:
-            raise BadKindError(f"kind byte {kind_code} is not defined") from None
-        if len(data) - pos < value_len:
+        node_id, timestamp, kind_code, value_len = unpack_from(data, pos)
+        pos += _RECORD.size
+        if kind_code >= len(_KINDS):
+            raise BadKindError(f"kind byte {kind_code} is not defined")
+        value_end = pos + value_len
+        if value_end > end:
             raise TruncatedError("record value runs past end of batch")
         readings.append(
-            SensorReading(
-                node_id=node_id,
-                timestamp=timestamp,
-                kind=kind,
-                value=data[pos : pos + value_len],
-            )
+            SensorReading(node_id, timestamp, _KINDS[kind_code], data[pos:value_end])
         )
-        pos += value_len
-    if pos != len(data):
-        raise TrailingBytesError(f"{len(data) - pos} bytes after batch")
+        pos = value_end
+    if pos != end:
+        raise TrailingBytesError(f"{end - pos} bytes after batch")
     return readings

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,37 @@ def test_estimate_result_too_long_to_print_rejected(capsys):
         assert err.count("\n") == 1
     assert run(["estimate", "--key-bits", "14000", "--rate", "1"]) == 0
     assert capsys.readouterr().out.startswith("total_keys=")
+
+
+@pytest.mark.parametrize("rate, message", [
+    ("1e-10000000", "--rate exponent is outside ±10000"),
+    ("1e+10000000", "--rate exponent is outside ±10000"),
+    ("1e-10001", "--rate exponent is outside ±10000"),
+    ("1" * 1001, "--rate is longer than 1000 characters"),
+    ("1e-10000", "result is too large to print"),
+], ids=["tiny", "huge", "past-bound", "long", "at-bound"])
+def test_estimate_rate_is_bounded_before_it_is_parsed(rate, message, capsys):
+    # the parse built 10**10000000 first: 7 s and 37 MB to reach exit 2
+    start = time.perf_counter()
+    assert run(["estimate", "--key-bits", "8", "--rate", rate]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rate, expected", [
+    ("1000000", "seconds=144115188075855872/15625\n"
+                "years_exact=1125899906842624/3849609375\nyears=292471\n"),
+    ("2.5e6", "seconds=288230376151711744/78125\n"
+              "years_exact=2251799813685248/19248046875\nyears=116988\n"),
+    ("1/3", "seconds=27670116110564327424\n"
+            "years_exact=72057594037927936/82125\nyears=877413626032\n"),
+])
+def test_estimate_plain_rates(rate, expected, capsys):
+    assert run(["estimate", "--key-bits", "64", "--rate", rate]) == 0
+    out = capsys.readouterr().out
+    assert out == "total_keys=18446744073709551616\n" + expected
 
 
 # -- attack -----------------------------------------------------------------------

@@ -603,6 +603,65 @@ def test_config_is_validated_when_built():
     assert err.value.problems == ["duration_ticks must be >= 1"]
 
 
+@st.composite
+def valid_demo_docs(draw):
+    """The demo config with up to 3 more sensors on its hub and every number,
+    kind, key and hook drawn across its whole valid range, edges included.
+    `duration_ticks` is bounded by the shortest sense period, so no sensor
+    fires more than 64 times however large the periods are."""
+    doc = demo_dict()
+    taken = {node["id"] for node in doc["nodes"]}
+    for sensor_id in draw(st.sets(
+        st.sampled_from([0, 3, 1000, 0xFFFF]), max_size=3
+    )) - taken:
+        doc["nodes"].append({"id": sensor_id, "role": "sensor"})
+        doc["edges"].append([sensor_id, 10])
+    periods = st.integers(1, 12) | st.sampled_from([0xFFFFFFFF, 1 << 40])
+    doc["sense_period_ticks"] = draw(periods)
+    shortest = doc["sense_period_ticks"]
+    longest_batch = 2
+    for node in doc["nodes"]:
+        if node["role"] != "sensor":
+            continue
+        node["kind"] = draw(st.sampled_from(["scalar", "audio", "video"]))
+        longest_batch += 8 + VALUE_LENGTHS[ReadingKind[node["kind"].upper()]]
+        if draw(st.booleans()):
+            node["sense_period_ticks"] = draw(periods)
+        shortest = min(shortest, node.get("sense_period_ticks", shortest))
+    doc["duration_ticks"] = draw(st.integers(1, min(64 * shortest, 0xFFFFFFFF)))
+    doc["hop_latency_ticks"] = draw(st.integers(1, 3) | st.just(1 << 64))
+    doc["seed"] = draw(st.integers(0, (1 << 64) - 1))
+    keys = st.binary(min_size=1, max_size=32).map(bytes.hex)
+    own = draw(keys)
+    doc["keys"] = {"30": own}
+    doc["fusion_registry"] = draw(
+        st.just({"30": own})
+        | st.just({})
+        | keys.map(lambda other: {"30": other})
+        | keys.map(lambda extra: {"30": own, "99": extra})
+    )
+    frame_bits = 8 * (HEADER_LEN + longest_batch + 1)
+    doc["corruption"] = [
+        {"frame": frame, "bit": bit}
+        for frame, bit in draw(st.lists(st.tuples(
+            st.integers(0, 20) | st.just(1 << 64),
+            st.integers(0, frame_bits - 1),
+        ), max_size=3))
+    ]
+    return doc
+
+
+@settings(deadline=None)
+@given(valid_demo_docs())
+def test_every_config_that_validates_runs_to_completion(doc):
+    report = run_simulation(config_from_dict(doc))
+    assert report.frames_delivered == report.frames_sent
+    assert sum(report.frames_rejected.values()) == sum(
+        stats.frames_rejected for stats in report.per_sink.values()
+    )
+    json.dumps(report_to_dict(report))
+
+
 def video_hub_config(sensor_count):
     """One hub carrying `sensor_count` video sensors, ids 1..sensor_count."""
     hub, sink, fusion = 0xF000, 0xF001, 0xF002

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wsncrypt.wire import (
@@ -137,6 +137,34 @@ def test_every_single_bit_flip_is_rejected():
             decode_frame(bytes(mutated))
 
 
+# -- readings ------------------------------------------------------------------------
+
+
+def test_sensor_reading_contract():
+    by_keyword = SensorReading(
+        node_id=3, timestamp=7, kind=ReadingKind.AUDIO, value=b"\x01\xff"
+    )
+    by_position = SensorReading(3, 7, ReadingKind.AUDIO, b"\x01\xff")
+    assert by_keyword == by_position
+    assert hash(by_keyword) == hash(by_position)
+    assert (by_keyword.node_id, by_keyword.timestamp) == (3, 7)
+    assert (by_keyword.kind, by_keyword.value) == (ReadingKind.AUDIO, b"\x01\xff")
+    with pytest.raises(AttributeError):
+        by_keyword.value = b""
+    assert repr(by_keyword) == (
+        "SensorReading(node_id=3, timestamp=7, "
+        "kind=<ReadingKind.AUDIO: 1>, value=b'\\x01\\xff')"
+    )
+    assert by_keyword != SensorReading(3, 7, ReadingKind.AUDIO, b"\x01")
+
+
+@given(st.lists(readings, max_size=8))
+def test_sensor_readings_sort_by_their_fields_in_order(batch):
+    assert sorted(batch) == sorted(
+        batch, key=lambda r: (r.node_id, r.timestamp, r.kind, r.value)
+    )
+
+
 # -- reading batches ---------------------------------------------------------------
 
 
@@ -190,6 +218,36 @@ def test_truncated_batches():
     )
     with pytest.raises(TruncatedError):
         decode_readings(good[:-1])  # value cut short
+
+
+@pytest.mark.parametrize("code", [3, 255])
+def test_undefined_kind_bytes_rejected(code):
+    record = bytes.fromhex("0001" + "0001" + "00000000") + bytes([code, 0])
+    with pytest.raises(BadKindError):
+        decode_readings(record)
+
+
+@pytest.mark.parametrize("cut", range(1, 8))
+def test_record_header_cut_short_is_truncated(cut):
+    header = bytes.fromhex("0001" + "00000002" + "01" + "00")
+    with pytest.raises(TruncatedError):
+        decode_readings(b"\x00\x01" + header[:cut])
+
+
+# -- checksum ------------------------------------------------------------------------
+
+
+def _xor_fold_by_byte(data):
+    acc = 0
+    for b in data:
+        acc ^= b
+    return acc
+
+
+@example(b"")
+@given(st.binary(max_size=4096))
+def test_xor_fold_matches_byte_loop(data):
+    assert xor_fold(data) == _xor_fold_by_byte(data)
 
 
 # -- decoder contract ---------------------------------------------------------------
