@@ -22,6 +22,11 @@ one message-wide integer XOR.  The bit-stream functions below are the
 definitional forms; the tests prove both sides of the fork equal to them
 and to a bit-at-a-time reference.
 
+Output byte j depends only on input byte j and j mod L, so a caller may
+cut a long input into chunks whose lengths are multiples of L and cipher
+each on its own: the joined results equal one call on the whole input.
+The CLI streams files this way.
+
 This is a toy cipher: one known plaintext block leaks the whole keystream
 (see `wsncrypt.keyspace`).  Do not use it to protect anything real.
 """

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
+import os
 import re
 import secrets
+import stat
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -63,28 +66,95 @@ def _parse_hex(text: str, what: str) -> bytes:
         raise ValueError(f"{what} is not valid hex: {text!r}") from None
 
 
+# Bytes read and ciphered per step of the encrypt/decrypt loop, rounded
+# down to whole key periods.  Output byte j depends only on input byte j and
+# j mod L, so key-aligned chunks give the bytes of one whole-input call while
+# memory stays bounded by the chunk and every translate stays cache-sized.
+# Every chunk but the last is at least `_BULK`, the cipher's long-input path.
+_CHUNK = 256 * 1024
+
+
+class _ReadError(Exception):
+    """A read of the opened input failed; the cause is the `OSError`."""
+
+
+def _chunks(source, size: int):
+    """`source` read `size` bytes at a time, up to its end."""
+    while True:
+        try:
+            data = source.read(size)
+        except OSError as exc:
+            raise _ReadError from exc
+        if not data:
+            return
+        yield data
+
+
+def _write_replacing(path: str, chunks) -> None:
+    """Write `chunks` to `path` so that it changes only once all are written.
+
+    The bytes go to a temporary file beside the file `path` names (through
+    any symlinks), which then replaces it; on any failure the temporary file
+    is removed and the old file is left as it was.  The new file keeps the old
+    one's permission bits, or gets the umask's if there was none, as writing
+    in place would, and an old file that may not be written is refused.  A
+    path that names something other than a regular file, such as a device or
+    a pipe, is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as handle:
+            handle.writelines(chunks)
+        return
+    target = os.path.realpath(path)
+    if mode is not None:
+        open(target, "ab").close()  # refused where writing in place would be
+    temp = f"{target}.{secrets.token_hex(8)}.tmp"
+    handle = open(temp, "xb")  # 0o666 less the umask, like a new output
+    try:
+        with handle:
+            handle.writelines(chunks)
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
+
+
 def _cmd_codec(args: argparse.Namespace, operation) -> int:
     key = _parse_hex(args.key_hex, "--key-hex")
     _check_key(key)  # before the input is read: a bad key is usage, not I/O
     try:
         if args.in_hex is not None:
-            data = _parse_hex(args.in_hex, "--in-hex")
+            source = io.BytesIO(_parse_hex(args.in_hex, "--in-hex"))
         else:
-            with open(args.in_path, "rb") as handle:
-                data = handle.read()
+            source = open(args.in_path, "rb")
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO
-    result = operation(data, key)
-    try:
-        if args.out is None:
-            print(result.hex())
-        else:
-            with open(args.out, "wb") as handle:
-                handle.write(result)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with source:
+        chunks = _chunks(source, _CHUNK - _CHUNK % len(key))
+        results = (operation(data, key) for data in chunks)
+        try:
+            if args.out is None:
+                for result in results:
+                    sys.stdout.write(result.hex())
+                sys.stdout.write("\n")
+            else:
+                _write_replacing(args.out, results)
+        except _ReadError as exc:
+            print(f"error: cannot read input: {exc.__cause__}", file=sys.stderr)
+            return EXIT_IO
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_IO
     return EXIT_OK
 
 

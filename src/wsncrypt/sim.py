@@ -297,6 +297,14 @@ def run_simulation(config: SimConfig) -> SimReport:
     # arrival tick -> list of in-flight items, kept in dispatch order
     to_sink: Dict[int, List[Tuple[int, bytes, Tuple[SensorReading, ...]]]] = {}
     to_fusion: Dict[int, List[Tuple[int, bytes, Tuple[SensorReading, ...]]]] = {}
+    # the keys of both maps as a heap, pushed when a tick's first item is
+    # queued (a tick queued in both maps is pushed twice)
+    arrivals: List[int] = []
+
+    def queue(in_flight, arrival, item) -> None:
+        if arrival not in in_flight:
+            heapq.heappush(arrivals, arrival)
+        in_flight.setdefault(arrival, []).append(item)
 
     sequences: Dict[int, int] = {}
     frame_ordinal = 0
@@ -313,12 +321,12 @@ def run_simulation(config: SimConfig) -> SimReport:
         },
     )
 
-    while due or to_sink or to_fusion:
+    while due or arrivals:
         # idle ticks change nothing, so jump to the next sense or arrival
-        next_ticks = [*to_sink, *to_fusion]
-        if due:
-            next_ticks.append(due[0][0])
-        tick = min(next_ticks)
+        if arrivals and (not due or arrivals[0] < due[0][0]):
+            tick = arrivals[0]
+        else:
+            tick = due[0][0]
 
         while due and due[0][0] == tick:
             _, sensor_id, period, hub_id, kind = due[0]
@@ -335,8 +343,10 @@ def run_simulation(config: SimConfig) -> SimReport:
             payload = aggregate(batch)
             # sorted already: sensors fire in id order, the inbox holds one tick
             carried = tuple(batch)
-            to_sink.setdefault(tick + transit[hub_id], []).append(
-                (topology.routes[hub_id][-1], payload, carried)
+            queue(
+                to_sink,
+                tick + transit[hub_id],
+                (topology.routes[hub_id][-1], payload, carried),
             )
         hub_inbox.clear()
 
@@ -355,9 +365,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             frame_ordinal += 1
             report.frames_sent += 1
             report.per_sink[sink_id].frames_sent += 1
-            to_fusion.setdefault(tick + transit[sink_id], []).append(
-                (sink_id, encoded, carried)
-            )
+            queue(to_fusion, tick + transit[sink_id], (sink_id, encoded, carried))
 
         for origin_sink, encoded, carried in sorted(
             to_fusion.pop(tick, []), key=lambda item: item[0]
@@ -378,6 +386,10 @@ def run_simulation(config: SimConfig) -> SimReport:
                     report.fidelity_ok = False
                 report.readings_recovered += len(readings)
                 report.per_sink[origin_sink].readings_recovered += len(readings)
+
+        # this tick is drained from both maps; what it queued arrives later
+        while arrivals and arrivals[0] == tick:
+            heapq.heappop(arrivals)
 
     return report
 

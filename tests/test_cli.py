@@ -1,13 +1,21 @@
 import json
+import os
+import random
+import stat
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
+from reference import ref_encrypt
 
 import wsncrypt.cli as cli
-from wsncrypt.cipher import _BULK, encrypt
+from wsncrypt.cipher import _BULK, decrypt, encrypt
 
-CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "demo.json"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_PATH = ROOT / "configs" / "demo.json"
 
 
 def run(argv):
@@ -69,9 +77,6 @@ def test_both_input_forms_rejected(tmp_path):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     done = subprocess.run(
         [sys.executable, "-m", "wsncrypt", "vectors"],
         capture_output=True, text=True,
@@ -123,6 +128,244 @@ def test_unreadable_input_is_io_error(tmp_path):
 def test_unwritable_output_is_io_error(tmp_path):
     assert run(["encrypt", "--in-hex", "41", "--key-hex", "5a",
                 "--out", str(tmp_path)]) == 3  # a directory, not a file
+
+
+# -- streaming --in in key-aligned chunks -------------------------------------------
+
+
+def _child_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _payload(size):
+    return random.Random(size).randbytes(size)
+
+
+def _step(key):
+    """The chunk the CLI ciphers at a time under `key`."""
+    return cli._CHUNK - cli._CHUNK % len(key)
+
+
+@pytest.mark.parametrize("key_len", [1, 3, 8, 32])
+@pytest.mark.parametrize("command, operation",
+                         [("encrypt", encrypt), ("decrypt", decrypt)])
+def test_streamed_file_equals_whole_input_call(command, operation, key_len,
+                                               tmp_path):
+    key = bytes(range(0x5A, 0x5A + key_len))
+    step = _step(key)
+    assert step >= _BULK  # every chunk but the last takes the bulk path
+    source, target = tmp_path / "in.bin", tmp_path / "out.bin"
+    for size in (step - 1, step, step + 1, 3 * step + 5):
+        payload = _payload(size)
+        source.write_bytes(payload)
+        assert run([command, "--in", str(source), "--key-hex", key.hex(),
+                    "--out", str(target)]) == 0
+        assert target.read_bytes() == operation(payload, key), size
+
+
+def test_streamed_file_matches_bit_at_a_time_reference(tmp_path):
+    key = b"\x00\xff\x5a"
+    payload = _payload(_step(key) + 1)  # two chunks, the second one byte
+    source, target = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(payload)
+    assert run(["encrypt", "--in", str(source), "--key-hex", key.hex(),
+                "--out", str(target)]) == 0
+    assert target.read_bytes() == ref_encrypt(payload, key)
+
+
+@pytest.mark.parametrize("command, operation",
+                         [("encrypt", encrypt), ("decrypt", decrypt)])
+def test_streamed_file_to_stdout_is_one_hex_line(command, operation, tmp_path,
+                                                 capsys):
+    key = b"\x00\xff\x5a"
+    payload = _payload(3 * _step(key) + 5)
+    source = tmp_path / "in.bin"
+    source.write_bytes(payload)
+    assert run([command, "--in", str(source), "--key-hex", key.hex()]) == 0
+    assert capsys.readouterr().out == operation(payload, key).hex() + "\n"
+
+
+def test_empty_input_file_gives_empty_output_file(tmp_path, capsys):
+    source, target = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(b"")
+    target.write_bytes(b"old")
+    assert run(["encrypt", "--in", str(source), "--key-hex", "5a",
+                "--out", str(target)]) == 0
+    assert target.read_bytes() == b""
+    assert run(["decrypt", "--in", str(source), "--key-hex", "5a"]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    source, real, link = (tmp_path / name for name in ("in", "real", "link"))
+    payload = _payload(1000)
+    source.write_bytes(payload)
+    real.write_bytes(b"old")
+    link.symlink_to(real)
+    assert run(["encrypt", "--in", str(source), "--key-hex", "5a",
+                "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_bytes() == encrypt(payload, b"\x5a")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    source, pipe = tmp_path / "in.bin", tmp_path / "pipe"
+    payload = _payload(3 * _step(b"\x5a") + 5)
+    source.write_bytes(payload)
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()),
+                              daemon=True)  # blocked for good if never written
+    reader.start()
+    code = run(["encrypt", "--in", str(source), "--key-hex", "5a",
+                "--out", str(pipe)])
+    reader.join(timeout=10)
+    assert code == 0
+    assert not reader.is_alive()
+    assert received == [encrypt(payload, b"\x5a")]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_dev_stdout_pipe(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-m", "wsncrypt", "encrypt", "--in-hex", "4142",
+         "--key-hex", "5a", "--out", "/dev/stdout"],
+        capture_output=True, env=_child_env(),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"\xd8\xdb", b"")
+
+
+# -- failed writes leave the old output; permission bits ----------------------------
+
+
+def _codec_into(tmp_path, out):
+    source = tmp_path / "in.bin"
+    source.write_bytes(_payload(3 * _step(b"\x5a") + 5))
+    return run(["encrypt", "--in", str(source), "--key-hex", "5a",
+                "--out", str(out)])
+
+
+def test_failed_replace_keeps_old_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert _codec_into(tmp_path, out) == 3
+    assert "error: cannot write output: " in capsys.readouterr().err
+    assert out.read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "out.bin"]
+
+
+def test_failed_read_keeps_old_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old")
+    real_open = open
+
+    class FailingSecondRead:
+        def __init__(self, handle):
+            self.handle, self.reads = handle, 0
+
+        def read(self, size=-1):
+            self.reads += 1
+            if self.reads == 2:
+                raise OSError(5, "Input/output error")
+            return self.handle.read(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        return FailingSecondRead(handle) if mode == "rb" else handle
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert _codec_into(tmp_path, out) == 3
+    assert "error: cannot read input: " in capsys.readouterr().err
+    assert out.read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "out.bin"]
+
+
+def test_output_in_missing_directory_is_io_error(tmp_path, capsys):
+    assert _codec_into(tmp_path, tmp_path / "absent" / "out.bin") == 3
+    assert "error: cannot write output: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.bin"]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_new_output_gets_umask_permissions(tmp_path, umask_022):
+    out = tmp_path / "out.bin"
+    assert _codec_into(tmp_path, out) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+
+
+def test_existing_output_keeps_its_permissions(tmp_path, umask_022):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old")
+    os.chmod(out, 0o604)
+    assert _codec_into(tmp_path, out) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root may write any file")
+def test_read_only_output_is_refused(tmp_path, capsys):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old")
+    os.chmod(out, 0o444)
+    assert _codec_into(tmp_path, out) == 3
+    assert "error: cannot write output: " in capsys.readouterr().err
+    assert out.read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "out.bin"]
+
+
+# A 32 MiB file through `main` in a fresh interpreter; prints the growth of
+# its peak resident set (ru_maxrss, KiB on Linux) over the call.
+_PEAK_GROWTH = """
+import resource, sys
+from wsncrypt.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = main(sys.argv[1:])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, after - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_file_memory_is_bounded_by_the_chunk(tmp_path):
+    source, target = tmp_path / "in.bin", tmp_path / "out.bin"
+    block = _payload(1 << 20)
+    with open(source, "wb") as handle:
+        for _ in range(32):
+            handle.write(block)
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_GROWTH, "encrypt", "--in", str(source),
+         "--key-hex", "00ff5a5a01020304", "--out", str(target)],
+        capture_output=True, text=True, env=_child_env(), check=True,
+    )
+    code, growth_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert growth_kib < 16 * 1024
+    assert os.path.getsize(target) == 32 << 20
 
 
 # -- usage errors -----------------------------------------------------------------
@@ -286,8 +529,6 @@ def test_attack_recovers_worked_example(capsys):
 
 
 def test_attack_round_trip(capsys):
-    from wsncrypt.cipher import encrypt
-
     key = bytes.fromhex("c01d")
     cipher = encrypt(b"attack at dawn", key)
     assert run(["attack", "--plain-hex", b"attack at dawn".hex(),
@@ -353,9 +594,6 @@ def test_simulate_invalid_config_is_usage_error(tmp_path, capsys):
 
 
 def test_simulate_malformed_config_exits_cleanly(tmp_path):
-    import subprocess
-    import sys
-
     doc = json.loads(CONFIG_PATH.read_text())
     doc["routes"] = list(doc["routes"].values())
     cases = {

@@ -466,6 +466,20 @@ def test_event_clock_matches_tick_by_tick_reference(config):
     assert json.dumps(report_to_dict(run_simulation(config))) == expected
 
 
+# (period, hop latency, duration): hundreds of arrival ticks in flight at
+# once; at latency 50 a sink-bound and a fusion-bound batch share most ticks
+@pytest.mark.parametrize("period, latency, duration",
+                         [(1, 5_000, 300), (1, 50, 400), (3, 997, 200)])
+def test_many_arrivals_in_flight_match_reference(period, latency, duration):
+    doc = demo_dict()
+    doc.update(sense_period_ticks=period, hop_latency_ticks=latency,
+               duration_ticks=duration)
+    doc["corruption"] = [{"frame": 7, "bit": 60}]
+    config = config_from_dict(doc)
+    expected = json.dumps(report_to_dict(ref_run_simulation(config)))
+    assert json.dumps(report_to_dict(run_simulation(config))) == expected
+
+
 def test_invalid_config_lists_problems():
     doc = demo_dict()
     doc["keys"] = {}
