@@ -245,8 +245,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(text)
     else:
         try:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            _write_replacing(args.report, [(text + "\n").encode("utf-8")])
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO

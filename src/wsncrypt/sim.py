@@ -7,12 +7,16 @@ frame, and relays the frame to the fusion center, which looks up the key
 for the sending sink, decrypts, re-parses the readings, and tallies the
 result.  Intermediate nodes forward bytes untouched and never decrypt.
 
+One event queue drives the run: a heap of sense, flush, transmit and
+receive events, popped in the order tick, then stage (in that order), then
+node id, then dispatch order (batches that reach one sink on one tick go
+out in the order their hubs flushed them).  Idle ticks hold no event, so a
+run costs time in proportion to its readings and frames, not to
+`duration_ticks`.
+
 The whole run is a pure function of SimConfig: sensor values come from the
-seeded mixer in `wsncrypt.rng`, the clock jumps from one sense or arrival
-tick to the next (idle ticks change nothing, so a run costs time in
-proportion to its readings and frames, not to `duration_ticks`), and
-same-tick events are processed in sorted node order, so two runs of one
-config are bit-identical.  The only way to lose data is the explicit
+seeded mixer in `wsncrypt.rng` and the event order is total, so two runs of
+one config are bit-identical.  The only way to lose data is the explicit
 corruption hook (flip one bit of one frame), which exists to exercise the
 rejection accounting at the fusion center.
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 import operator
 import re
@@ -262,6 +267,10 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
     return bytes(out)
 
 
+# the event stages of run_simulation, in the order each tick runs them
+SENSE, FLUSH, TRANSMIT, RECEIVE = range(4)
+
+
 def run_simulation(config: SimConfig) -> SimReport:
     """Run the full pipeline to quiescence and account for every frame.
 
@@ -274,16 +283,15 @@ def run_simulation(config: SimConfig) -> SimReport:
     topology = config.topology
     nodes = topology.node_map()
     hub_ids = set(topology.ids_with_role(ROLE_HUB))
-    # (next sense tick, sensor, period, hub, kind): the heap pops due
-    # sensors in id order, so each hub inbox fills sorted
-    due = []
+    duration = config.duration_ticks
+    events = []
     for sensor_id in topology.ids_with_role(ROLE_SENSOR):
         node = nodes[sensor_id]
         period = node.sense_period_ticks or config.sense_period_ticks
-        if period <= config.duration_ticks:
+        if period <= duration:
             (hub_id,) = topology.neighbors(sensor_id) & hub_ids
-            due.append((period, sensor_id, period, hub_id, node.kind))
-    heapq.heapify(due)
+            events.append((period, SENSE, sensor_id, period, hub_id, node.kind))
+    heapq.heapify(events)
     # ticks from a route's first node to its last; routes never change
     transit = {
         owner: relay(route, config.hop_latency_ticks)[-1][1]
@@ -292,22 +300,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
-
     hub_inbox: Dict[int, List[SensorReading]] = {}
-    # arrival tick -> list of in-flight items, kept in dispatch order
-    to_sink: Dict[int, List[Tuple[int, bytes, Tuple[SensorReading, ...]]]] = {}
-    to_fusion: Dict[int, List[Tuple[int, bytes, Tuple[SensorReading, ...]]]] = {}
-    # the keys of both maps as a heap, pushed when a tick's first item is
-    # queued (a tick queued in both maps is pushed twice)
-    arrivals: List[int] = []
-
-    def queue(in_flight, arrival, item) -> None:
-        if arrival not in in_flight:
-            heapq.heappush(arrivals, arrival)
-        in_flight.setdefault(arrival, []).append(item)
-
-    sequences: Dict[int, int] = {}
-    frame_ordinal = 0
+    # numbers batches in flush order: it breaks ties between one sink's
+    # events of one tick, and ends every comparison before the bytes
+    ordinals = itertools.count()
 
     report = SimReport(
         readings_sensed=0,
@@ -321,55 +317,56 @@ def run_simulation(config: SimConfig) -> SimReport:
         },
     )
 
-    while due or arrivals:
-        # idle ticks change nothing, so jump to the next sense or arrival
-        if arrivals and (not due or arrivals[0] < due[0][0]):
-            tick = arrivals[0]
-        else:
-            tick = due[0][0]
-
-        while due and due[0][0] == tick:
-            _, sensor_id, period, hub_id, kind = due[0]
-            reading = sense(sensor_id, kind, tick, config.seed)
-            hub_inbox.setdefault(hub_id, []).append(reading)
-            report.readings_sensed += 1
-            if tick + period <= config.duration_ticks:
-                heapq.heapreplace(due, (tick + period, sensor_id, period, hub_id, kind))
+    # a sense queues its hub's flush for its own tick and every other event
+    # goes to a later tick (periods and latency are at least 1), so popping in
+    # heap order runs each tick's stages in order; every event but a last
+    # sense or a receive replaces itself at the top of the heap
+    while events:
+        event = events[0]
+        stage = event[1]
+        if stage == SENSE:
+            tick, _, sensor_id, period, hub_id, kind = event
+            if tick + period <= duration:
+                heapq.heapreplace(
+                    events, (tick + period, SENSE, sensor_id, period, hub_id, kind)
+                )
             else:
-                heapq.heappop(due)
-
-        for hub_id in sorted(hub_inbox):
-            batch = hub_inbox[hub_id]
-            payload = aggregate(batch)
+                heapq.heappop(events)
+            reading = sense(sensor_id, kind, tick, config.seed)
+            report.readings_sensed += 1
+            inbox = hub_inbox.get(hub_id)
+            if inbox is None:
+                hub_inbox[hub_id] = [reading]
+                heapq.heappush(events, (tick, FLUSH, hub_id))
+            else:
+                inbox.append(reading)
+        elif stage == FLUSH:
+            tick, _, hub_id = event
+            batch = hub_inbox.pop(hub_id)
             # sorted already: sensors fire in id order, the inbox holds one tick
-            carried = tuple(batch)
-            queue(
-                to_sink,
-                tick + transit[hub_id],
-                (topology.routes[hub_id][-1], payload, carried),
-            )
-        hub_inbox.clear()
-
-        for sink_id, payload, carried in sorted(
-            to_sink.pop(tick, []), key=lambda item: item[0]
-        ):
-            sequence = sequences.get(sink_id, 0)
-            sequences[sink_id] = sequence + 1
+            heapq.heapreplace(events, (
+                tick + transit[hub_id], TRANSMIT, topology.routes[hub_id][-1],
+                next(ordinals), aggregate(batch), tuple(batch),
+            ))
+        elif stage == TRANSMIT:
+            tick, _, sink_id, ordinal, payload, carried = event
+            stats = report.per_sink[sink_id]
+            # a sink's frame count is its next sequence number, and the
+            # run's frame count the next frame's corruption index
             frame = sink_transmit(
-                sink_id, payload, sequence, config.sink_keys[sink_id]
+                sink_id, payload, stats.frames_sent, config.sink_keys[sink_id]
             )
             encoded = encode_frame(frame)
-            for bit in corruption.get(frame_ordinal, ()):
+            for bit in corruption.get(report.frames_sent, ()):
                 if bit < 8 * len(encoded):
                     encoded = _flip_bit(encoded, bit)
-            frame_ordinal += 1
             report.frames_sent += 1
-            report.per_sink[sink_id].frames_sent += 1
-            queue(to_fusion, tick + transit[sink_id], (sink_id, encoded, carried))
-
-        for origin_sink, encoded, carried in sorted(
-            to_fusion.pop(tick, []), key=lambda item: item[0]
-        ):
+            stats.frames_sent += 1
+            heapq.heapreplace(events, (
+                tick + transit[sink_id], RECEIVE, sink_id, ordinal, encoded, carried,
+            ))
+        else:
+            _, _, origin_sink, _, encoded, carried = heapq.heappop(events)
             report.frames_delivered += 1
             report.per_sink[origin_sink].frames_delivered += 1
             try:
@@ -386,10 +383,6 @@ def run_simulation(config: SimConfig) -> SimReport:
                     report.fidelity_ok = False
                 report.readings_recovered += len(readings)
                 report.per_sink[origin_sink].readings_recovered += len(readings)
-
-        # this tick is drained from both maps; what it queued arrives later
-        while arrivals and arrivals[0] == tick:
-            heapq.heappop(arrivals)
 
     return report
 

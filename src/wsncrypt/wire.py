@@ -31,7 +31,9 @@ from typing import List, NamedTuple, Sequence
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
-HEADER_LEN = 11
+# magic, version, sink_id, sequence, payload_length
+_HEADER = struct.Struct(">2sBHIH")
+HEADER_LEN = _HEADER.size
 MAX_PAYLOAD = 0xFFFF
 MAX_READINGS = 0xFFFF
 MAX_VALUE_LEN = 0xFF
@@ -136,9 +138,8 @@ def encode_frame(frame: Frame) -> bytes:
             f"payload of {len(frame.payload)} bytes exceeds {MAX_PAYLOAD}"
         )
     body = (
-        MAGIC
-        + struct.pack(
-            ">BHIH", VERSION, frame.sink_id, frame.sequence, len(frame.payload)
+        _HEADER.pack(
+            MAGIC, VERSION, frame.sink_id, frame.sequence, len(frame.payload)
         )
         + frame.payload
     )
@@ -153,9 +154,9 @@ def decode_frame(data: bytes) -> Frame:
     """
     if len(data) < HEADER_LEN + 1:
         raise TruncatedError(f"{len(data)} bytes is shorter than any frame")
-    if data[:2] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:2].hex()}")
-    version, sink_id, sequence, payload_len = struct.unpack(">BHIH", data[2:11])
+    magic, version, sink_id, sequence, payload_len = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic.hex()}")
     if version != VERSION:
         raise UnsupportedVersionError(f"version {version} not supported")
     expected = HEADER_LEN + payload_len + 1
@@ -170,9 +171,8 @@ def decode_frame(data: bytes) -> Frame:
         raise ChecksumMismatchError(
             f"checksum {data[-1]:#04x} != computed {xor_fold(data[:-1]):#04x}"
         )
-    return Frame(
-        sink_id=sink_id, sequence=sequence, payload=data[11 : 11 + payload_len]
-    )
+    payload = data[HEADER_LEN : HEADER_LEN + payload_len]
+    return Frame(sink_id=sink_id, sequence=sequence, payload=payload)
 
 
 def _check_reading(reading: SensorReading) -> None:

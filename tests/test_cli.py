@@ -564,6 +564,49 @@ def test_simulate_demo_config(tmp_path, capsys):
     assert report["readings_sensed"] == report["readings_recovered"] == 20
 
 
+def _simulate_into(report_path):
+    return run(["simulate", "--config", str(CONFIG_PATH),
+                "--report", str(report_path)])
+
+
+def test_simulate_report_file_holds_the_stdout_text(tmp_path, capsys):
+    assert run(["simulate", "--config", str(CONFIG_PATH)]) == 0
+    printed = capsys.readouterr().out
+    report_path = tmp_path / "report.json"
+    assert _simulate_into(report_path) == 0
+    assert report_path.read_bytes() == printed.encode("utf-8")
+
+
+def test_simulate_report_in_missing_directory_is_io_error(tmp_path, capsys):
+    assert _simulate_into(tmp_path / "absent" / "report.json") == 3
+    assert "error: cannot write report: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_simulate_failed_replace_keeps_old_report(tmp_path, monkeypatch,
+                                                  capsys):
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert _simulate_into(report_path) == 3
+    assert "error: cannot write report: " in capsys.readouterr().err
+    assert report_path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_simulate_existing_report_keeps_its_permissions(tmp_path, umask_022):
+    report_path = tmp_path / "report.json"
+    report_path.write_bytes(b"old")
+    os.chmod(report_path, 0o604)
+    assert _simulate_into(report_path) == 0
+    assert stat.S_IMODE(os.stat(report_path).st_mode) == 0o604
+    assert json.loads(report_path.read_text())["fidelity_ok"] is True
+
+
 def test_simulate_prints_report_to_stdout(capsys):
     assert run(["simulate", "--config", str(CONFIG_PATH)]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -480,6 +480,71 @@ def test_many_arrivals_in_flight_match_reference(period, latency, duration):
     assert json.dumps(report_to_dict(run_simulation(config))) == expected
 
 
+def tied_config(routes, sensors, corrupted_frame):
+    """Routes end at sinks and at fusion center 99, and every node inside a
+    route is a relay; `sensors` lists (hub, kind, period) for sensor ids 1,
+    2, ...  Hop latency 1, 12 ticks, bit 100 of one frame flipped."""
+    sinks = {route[-1] for route in routes.values()} - {99}
+    nodes = [NodeSpec(99, "fusion_center")]
+    nodes += [NodeSpec(owner, "sink" if owner in sinks else "hub")
+              for owner in routes]
+    nodes += [NodeSpec(node, "relay")
+              for route in routes.values() for node in route[1:-1]]
+    nodes += [NodeSpec(sensor, "sensor", kind, period)
+              for sensor, (_, kind, period) in enumerate(sensors, start=1)]
+    edges = [hop for route in routes.values() for hop in zip(route, route[1:])]
+    edges += [(sensor, hub) for sensor, (hub, _, _) in enumerate(sensors, start=1)]
+    keys = {sink: bytes([sink]) * 3 for sink in sinks}
+    return SimConfig(
+        topology=Topology(nodes=tuple(nodes), edges=tuple(edges), routes=routes),
+        sink_keys=keys,
+        registry=keys,
+        seed=7,
+        duration_ticks=12,
+        sense_period_ticks=1,
+        hop_latency_ticks=1,
+        corruption=(FrameCorruption(frame_index=corrupted_frame, bit_index=100),),
+    )
+
+
+SCALAR, AUDIO, VIDEO = ReadingKind.SCALAR, ReadingKind.AUDIO, ReadingKind.VIDEO
+
+
+@pytest.mark.parametrize("config, expected", [
+    # hub 11's batch flushed on tick 4 and hub 10's flushed on tick 6 both
+    # reach sink 30 on tick 7; dispatch order puts hub 11's first, so frame
+    # 2 is hub 11's and its two readings are the ones lost
+    (tied_config(
+        {10: (10, 30), 11: (11, 20, 21, 30), 30: (30, 99)},
+        [(10, SCALAR, 3), (11, SCALAR, 2), (11, SCALAR, 2)],
+        corrupted_frame=2,
+    ),
+     '{"readings_sensed": 16, "frames_sent": 10, "frames_delivered": 10,'
+     ' "frames_rejected": {"checksum_mismatch": 1}, "readings_recovered": 14,'
+     ' "fidelity_ok": false, "per_sink": {"30": {"frames_sent": 10,'
+     ' "frames_delivered": 10, "frames_rejected": 1, "readings_recovered": 14}}}'),
+    # hub 10 (to sink 31) dispatches before hub 11 (to sink 30) on tick 6,
+    # but both sinks transmit on tick 7 in node order, so frame 3 is sink
+    # 30's; on tick 8 hub 10 flushes while frames from both sinks, sent on
+    # ticks 5 and 7, reach the fusion center
+    (tied_config(
+        {10: (10, 31), 11: (11, 30), 30: (30, 99), 31: (31, 40, 41, 99)},
+        [(10, AUDIO, 2), (11, VIDEO, 3), (11, SCALAR, 3)],
+        corrupted_frame=3,
+    ),
+     '{"readings_sensed": 14, "frames_sent": 10, "frames_delivered": 10,'
+     ' "frames_rejected": {"checksum_mismatch": 1}, "readings_recovered": 12,'
+     ' "fidelity_ok": false, "per_sink": {"30": {"frames_sent": 4,'
+     ' "frames_delivered": 4, "frames_rejected": 1, "readings_recovered": 6},'
+     ' "31": {"frames_sent": 6, "frames_delivered": 6, "frames_rejected": 0,'
+     ' "readings_recovered": 6}}}'),
+], ids=["one-sink-two-route-lengths", "two-sinks-two-route-lengths"])
+def test_same_tick_events_run_in_stage_node_dispatch_order(config, expected):
+    report = json.dumps(report_to_dict(run_simulation(config)))
+    assert report == json.dumps(report_to_dict(ref_run_simulation(config)))
+    assert report == expected
+
+
 def test_invalid_config_lists_problems():
     doc = demo_dict()
     doc["keys"] = {}
