@@ -47,10 +47,12 @@ _BULK = 32 * 1024
 # The swap and the final complement in one lookup.
 _SWAP_NOT_TABLE = bytes(s ^ 0xFF for s in _SWAP_TABLE)
 
-# SWAP_NOT, and 256 copies of byte 0x01, as 2048-bit integers: the table
-# for key byte k is _SWAP_NOT ^ (k * _EVERY_BYTE).
+# The bulk path's table for stream byte k, SWAP_NOT with every entry XORed
+# with k, for all 256 k: SWAP_NOT and 256 copies of byte 0x01 as 2048-bit
+# integers make each table one integer XOR.
 _SWAP_NOT = int.from_bytes(_SWAP_NOT_TABLE, "big")
 _EVERY_BYTE = int.from_bytes(b"\x01" * 256, "big")
+_TABLES = tuple((_SWAP_NOT ^ k * _EVERY_BYTE).to_bytes(256, "big") for k in range(256))
 
 
 class EmptyKeyError(ValueError):
@@ -132,15 +134,12 @@ def _swap_not_xor(data: bytes, stream_key: bytes) -> bytes:
     """Map byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j % L]``."""
     n = len(data)
     if n >= _BULK:
-        tables = [
-            (_SWAP_NOT ^ k * _EVERY_BYTE).to_bytes(256, "big") for k in stream_key
-        ]
-        step = len(tables)
+        step = len(stream_key)
         if step == 1:
-            return data.translate(tables[0])
+            return data.translate(_TABLES[stream_key[0]])
         out = bytearray(n)
-        for i, table in enumerate(tables):
-            out[i::step] = data[i::step].translate(table)
+        for i, k in enumerate(stream_key):
+            out[i::step] = data[i::step].translate(_TABLES[k])
         return bytes(out)
     stream = (stream_key * -(-n // len(stream_key)))[:n]
     value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")

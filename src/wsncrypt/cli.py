@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 self-check or fidelity failure, 2 bad usage,
 stderr; hex is emitted lowercase and accepted case-insensitively.  Output
 is always plain text (NO_COLOR needs no special handling).
 
-Arguments are checked by the library calls they feed: a rejected argument
-is the library's own `ValueError`, which `main` prints as one `error:` line
-and turns into exit 2.
+Arguments are checked by the library calls they feed, or by the subcommand
+where no call can (keygen's length, estimate's rate and result size): a
+rejected argument is a `ValueError`, which `main` alone prints as one
+`error:` line and turns into exit 2.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NOT_FOUND = 4
-
-
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _parse_hex(text: str, what: str) -> bytes:
@@ -168,7 +164,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     if not 1 <= args.key_bytes <= MAX_KEY_BYTES:
-        return _fail_usage(f"--key-bytes must be 1..{MAX_KEY_BYTES}")
+        raise ValueError(f"--key-bytes must be 1..{MAX_KEY_BYTES}")
     if args.seed is None:
         key = secrets.token_bytes(args.key_bytes)
     else:
@@ -187,22 +183,22 @@ _RATE_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     if len(args.rate) > _MAX_RATE_CHARS:
-        return _fail_usage(f"--rate is longer than {_MAX_RATE_CHARS} characters")
+        raise ValueError(f"--rate is longer than {_MAX_RATE_CHARS} characters")
     exponent = _RATE_EXPONENT.search(args.rate)
     if exponent and abs(int(exponent[1])) > _MAX_RATE_EXPONENT:
-        return _fail_usage(
+        raise ValueError(
             f"--rate exponent is outside ±{_MAX_RATE_EXPONENT}: {args.rate!r}"
         )
     try:
         rate = Fraction(args.rate)
     except (ValueError, ZeroDivisionError):
-        return _fail_usage(f"--rate is not a number: {args.rate!r}")
+        raise ValueError(f"--rate is not a number: {args.rate!r}") from None
     mode = MODE_AVERAGE if args.mode == "average" else MODE_WORST_CASE
     model = AttackModel(key_length_bits=args.key_bits, keys_per_second=rate, mode=mode)
     # 2**n (n / 8 bytes to build) has floor(n * log10(2)) + 1 digits
     digit_limit = sys.get_int_max_str_digits()
     if digit_limit and args.key_bits * math.log10(2) >= digit_limit:
-        return _fail_usage(
+        raise ValueError(
             f"result is too large to print: 2**{args.key_bits} has more than"
             f" {digit_limit} digits"
         )
@@ -216,7 +212,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             f"years={estimate.years_floor}"
         )
     except ValueError as exc:  # the interpreter's int-to-str digit limit
-        return _fail_usage(f"result is too large to print: {exc}")
+        raise ValueError(f"result is too large to print: {exc}") from None
     print(text)
     return EXIT_OK
 
@@ -379,8 +375,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # every library rejection of an argument
-        return _fail_usage(str(exc))
+    except ValueError as exc:  # every rejection of an argument
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,10 +16,14 @@ that many records.  A decoded record is a `SensorReading`, an immutable
 named tuple `(node_id, timestamp, kind, value)`: it unpacks, orders,
 compares and hashes as that plain tuple, and equals one.
 
-The checksum is a one-byte XOR fold: weak as checksums go, but it detects
-every single-bit flip, which is all the delivery pipeline needs.  Frame
-headers are never encrypted; the receiver must read sink_id to pick the
-decryption key before it can touch the payload.
+Each fixed layout is one `struct.Struct`, which defines and range-checks
+every field: the encoders turn its `struct.error` into a `ValueError`, so a
+value the layout cannot hold is refused, never truncated or wrapped.
+
+The checksum is a one-byte XOR fold: it detects every single-bit flip, but
+anyone who changes bytes on purpose can recompute it, so it protects against
+no attacker.  Frame headers are never encrypted; the receiver must read
+sink_id to pick the decryption key before it can touch the payload.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ VERSION = 1
 _HEADER = struct.Struct(">2sBHIH")
 HEADER_LEN = _HEADER.size
 MAX_PAYLOAD = 0xFFFF
-MAX_READINGS = 0xFFFF
-MAX_VALUE_LEN = 0xFF
 
 
 class WireError(ValueError):
@@ -129,20 +131,18 @@ def xor_fold(data: bytes) -> int:
 
 
 def encode_frame(frame: Frame) -> bytes:
-    if not 0 <= frame.sink_id <= 0xFFFF:
-        raise ValueError(f"sink_id {frame.sink_id} does not fit u16")
-    if not 0 <= frame.sequence <= 0xFFFFFFFF:
-        raise ValueError(f"sequence {frame.sequence} does not fit u32")
-    if len(frame.payload) > MAX_PAYLOAD:
+    sink_id, sequence, payload = frame.sink_id, frame.sequence, frame.payload
+    if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLargeError(
-            f"payload of {len(frame.payload)} bytes exceeds {MAX_PAYLOAD}"
+            f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}"
         )
-    body = (
-        _HEADER.pack(
-            MAGIC, VERSION, frame.sink_id, frame.sequence, len(frame.payload)
-        )
-        + frame.payload
-    )
+    try:
+        body = _HEADER.pack(MAGIC, VERSION, sink_id, sequence, len(payload))
+    except struct.error as exc:
+        raise ValueError(
+            f"frame header (sink_id {sink_id!r}, sequence {sequence!r}): {exc}"
+        ) from None
+    body += payload
     return body + bytes([xor_fold(body)])
 
 
@@ -175,39 +175,35 @@ def decode_frame(data: bytes) -> Frame:
     return Frame(sink_id=sink_id, sequence=sequence, payload=payload)
 
 
-def _check_reading(reading: SensorReading) -> None:
-    if not 0 <= reading.node_id <= 0xFFFF:
-        raise ValueError(f"node_id {reading.node_id} does not fit u16")
-    if not 0 <= reading.timestamp <= 0xFFFFFFFF:
-        raise ValueError(f"timestamp {reading.timestamp} does not fit u32")
-    if reading.kind not in _KINDS:
-        raise ValueError(f"unknown reading kind {reading.kind!r}")
-    if len(reading.value) > MAX_VALUE_LEN:
-        raise ValueError(f"value of {len(reading.value)} bytes exceeds 255")
-
-
 def encode_readings(readings: Sequence[SensorReading]) -> bytes:
-    if len(readings) > MAX_READINGS:
+    try:
+        out = bytearray(_COUNT.pack(len(readings)))
+    except struct.error:
         raise TooManyReadingsError(
             f"{len(readings)} readings exceed the u16 batch count"
-        )
-    out = bytearray(_COUNT.pack(len(readings)))
+        ) from None
     pack = _RECORD.pack
-    for reading in readings:
-        _check_reading(reading)
-        node_id, timestamp, kind, value = reading
-        out += pack(node_id, timestamp, int(kind), len(value))
+    for node_id, timestamp, kind, value in readings:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown reading kind {kind!r}")
+        try:
+            out += pack(node_id, timestamp, kind, len(value))
+        except struct.error as exc:
+            raise ValueError(
+                f"reading from node_id {node_id!r} does not fit its record"
+                f" (value of {len(value)} bytes): {exc}"
+            ) from None
         out += value
     return bytes(out)
 
 
 def decode_readings(data: bytes) -> List[SensorReading]:
     """Inverse of `encode_readings`; rejects trailing garbage."""
-    if len(data) < 2:
+    if len(data) < _COUNT.size:
         raise TruncatedError("batch shorter than its count field")
     (count,) = _COUNT.unpack_from(data)
     end = len(data)
-    pos = 2
+    pos = _COUNT.size
     readings = []
     unpack_from = _RECORD.unpack_from
     for _ in range(count):

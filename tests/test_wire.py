@@ -3,6 +3,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wsncrypt.wire import (
+    MAX_PAYLOAD,
     BadKindError,
     BadMagicError,
     ChecksumMismatchError,
@@ -274,6 +275,68 @@ def test_decoders_raise_only_decode_error(data):
             decode(data)
         except DecodeError:
             pass
+
+
+# -- encoder contract ---------------------------------------------------------------
+
+
+def around(*limits):
+    """Ints of any size, ints next to each limit, floats and bools."""
+    return (
+        st.integers()
+        | st.sampled_from(limits).flatmap(lambda n: st.integers(n - 1, n + 1))
+        | st.floats()
+        | st.booleans()
+    )
+
+
+def lengths_around(limit):
+    """Short byte strings, and zero bytes of one less, exactly, one more than
+    `limit`."""
+    return st.binary(max_size=3) | st.integers(limit - 1, limit + 1).map(bytes)
+
+
+def round_trips_or_is_refused(encode, decode, value):
+    try:
+        encoded = encode(value)
+    except ValueError:  # struct.error is not one, so it fails the test
+        return
+    assert decode(encoded) == value
+
+
+@given(
+    st.lists(
+        st.builds(
+            SensorReading,
+            node_id=around(0, 0xFFFF),
+            timestamp=around(0, 0xFFFFFFFF),
+            kind=st.sampled_from(ReadingKind) | st.integers(-1, 3) | st.floats(),
+            value=lengths_around(255),
+        ),
+        max_size=3,
+    )
+)
+def test_encode_readings_round_trips_or_raises_value_error(batch):
+    round_trips_or_is_refused(encode_readings, decode_readings, batch)
+
+
+@given(
+    st.builds(
+        Frame,
+        sink_id=around(0, 0xFFFF),
+        sequence=around(0, 0xFFFFFFFF),
+        payload=lengths_around(MAX_PAYLOAD),
+    )
+)
+def test_encode_frame_round_trips_or_raises_value_error(frame):
+    round_trips_or_is_refused(encode_frame, decode_frame, frame)
+
+
+def test_float_fields_raise_value_error():
+    with pytest.raises(ValueError):
+        encode_readings([SensorReading(1.5, 0, ReadingKind.SCALAR, b"")])
+    with pytest.raises(ValueError):
+        encode_frame(Frame(sink_id=1.5, sequence=0))
 
 
 def test_too_many_readings():
