@@ -4,7 +4,13 @@
 with exact integers (2**n keyspace, rational seconds and years, 365-day
 year).  The two attack functions demonstrate how weak the cipher actually
 is: one plaintext/ciphertext pair algebraically yields the full keystream,
-and short keys fall to an exhaustive scan in well under a second.
+and short keys fall to an exhaustive scan.
+
+`exhaustive_search` is the brute-force rate meter, so it pays per candidate
+only what an attacker must: the block's keystream and the repunit that
+repeats a key over the block are computed once per call, and each candidate
+then costs one swap, one multiply, one shift and one comparison against the
+whole block.
 """
 
 from __future__ import annotations
@@ -107,7 +113,16 @@ def exhaustive_search(
     """Try every key of the given length, smallest first.
 
     Returns the lexicographically smallest key that encrypts the plaintext
-    to the ciphertext, or None.  The match is confirmed with a real
+    to the ciphertext, or None.
+
+    A trial kernel hoists what no candidate changes out of the loop: the
+    block's keystream ``need``, which is SWAP_NOT of the plaintext XOR the
+    ciphertext as one integer, and a repunit with a 1 in the low byte of
+    each key period, so that ``swap(k) * repunit`` is the swapped key
+    repeated over whole periods and a right shift drops the last period's
+    bytes past the block.  Every candidate gets its own keystream over the
+    whole block, compared with ``need`` as one integer; none is skipped or
+    judged on part of the block.  The match is confirmed with a real
     `encrypt` call before being returned.
     """
     if not 1 <= key_length_bytes <= MAX_SEARCH_KEY_BYTES:
@@ -121,8 +136,20 @@ def exhaustive_search(
         raise LengthMismatchError(
             "need equal-length plaintext/ciphertext at least as long as the key"
         )
+    # ~swap(p ^ k) == SWAP_NOT[p] ^ swap(k), so the stream is SWAP_NOT[p] ^ c
+    need = int.from_bytes(known_plaintext.translate(_SWAP_NOT_TABLE), "big")
+    need ^= int.from_bytes(ciphertext, "big")
+    periods = -(-len(known_plaintext) // key_length_bytes)
+    repunit = int.from_bytes(
+        (bytes(key_length_bytes - 1) + b"\x01") * periods, "big"
+    )
+    tail = 8 * (periods * key_length_bytes - len(known_plaintext))
+    # the low bit of every bit pair; the swap as integer ops on the candidate
+    pair_low = int.from_bytes(b"\x55" * key_length_bytes, "big")
     for candidate in range(1 << (8 * key_length_bytes)):
-        key = candidate.to_bytes(key_length_bytes, "big")
-        if encrypt(known_plaintext, key) == ciphertext:
-            return key
+        swapped = (candidate & pair_low) << 1 | (candidate >> 1) & pair_low
+        if (swapped * repunit) >> tail == need:
+            key = candidate.to_bytes(key_length_bytes, "big")
+            if encrypt(known_plaintext, key) == ciphertext:
+                return key
     return None

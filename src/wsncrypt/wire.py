@@ -16,8 +16,9 @@ that many records.  A decoded record is a `SensorReading`, an immutable
 named tuple `(node_id, timestamp, kind, value)`: it unpacks, orders,
 compares and hashes as that plain tuple, and equals one.
 
-Each fixed layout is one `struct.Struct`, which defines and range-checks
-every field: the encoders turn its `struct.error` into a `ValueError`, so a
+Each fixed layout is one `struct.Struct`, built from a table of field names
+and codes, which defines and range-checks every field: the encoders turn its
+`struct.error` into a `ValueError` that names the field and its width, so a
 value the layout cannot hold is refused, never truncated or wrapped.
 
 The checksum is a one-byte XOR fold: it detects every single-bit flip, but
@@ -35,8 +36,14 @@ from typing import List, NamedTuple, Sequence
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
-# magic, version, sink_id, sequence, payload_length
-_HEADER = struct.Struct(">2sBHIH")
+_HEADER_FIELDS = {
+    "magic": "2s",
+    "version": "B",
+    "sink_id": "H",
+    "sequence": "I",
+    "payload_length": "H",
+}
+_HEADER = struct.Struct(">" + "".join(_HEADER_FIELDS.values()))
 HEADER_LEN = _HEADER.size
 MAX_PAYLOAD = 0xFFFF
 
@@ -92,8 +99,9 @@ class ReadingKind(IntEnum):
 # kind codes run 0, 1, 2, so a code in range is also its index here
 _KINDS = tuple(ReadingKind)
 
-# one reading record's fixed part: node_id, timestamp, kind, value_length
-_RECORD = struct.Struct(">HIBB")
+# one reading record's fixed part
+_RECORD_FIELDS = {"node_id": "H", "timestamp": "I", "kind": "B", "value_length": "B"}
+_RECORD = struct.Struct(">" + "".join(_RECORD_FIELDS.values()))
 _COUNT = struct.Struct(">H")
 
 
@@ -130,6 +138,21 @@ def xor_fold(data: bytes) -> int:
     return acc
 
 
+def _misfit(fields: dict, values: Sequence) -> str:
+    """Name the first field whose struct code cannot hold its value, with the
+    field's width and struct's reason.
+
+    The value itself is never formatted: an int past the interpreter's
+    int-to-str digit limit would turn the message into that error.
+    """
+    for (name, code), value in zip(fields.items(), values):
+        try:
+            struct.pack(">" + code, value)
+        except struct.error as exc:
+            return f"{name} is a u{8 * struct.calcsize(code)} field: {exc}"
+    raise AssertionError("struct refused a layout whose every field fits")
+
+
 def encode_frame(frame: Frame) -> bytes:
     sink_id, sequence, payload = frame.sink_id, frame.sequence, frame.payload
     if len(payload) > MAX_PAYLOAD:
@@ -138,9 +161,10 @@ def encode_frame(frame: Frame) -> bytes:
         )
     try:
         body = _HEADER.pack(MAGIC, VERSION, sink_id, sequence, len(payload))
-    except struct.error as exc:
+    except struct.error:
+        header = (MAGIC, VERSION, sink_id, sequence, len(payload))
         raise ValueError(
-            f"frame header (sink_id {sink_id!r}, sequence {sequence!r}): {exc}"
+            f"frame header does not fit: {_misfit(_HEADER_FIELDS, header)}"
         ) from None
     body += payload
     return body + bytes([xor_fold(body)])
@@ -185,13 +209,15 @@ def encode_readings(readings: Sequence[SensorReading]) -> bytes:
     pack = _RECORD.pack
     for node_id, timestamp, kind, value in readings:
         if kind not in _KINDS:
-            raise ValueError(f"unknown reading kind {kind!r}")
+            raise ValueError(
+                f"reading kind ({type(kind).__name__}) is not a ReadingKind"
+            )
         try:
             out += pack(node_id, timestamp, kind, len(value))
-        except struct.error as exc:
+        except struct.error:
+            record = (node_id, timestamp, kind, len(value))
             raise ValueError(
-                f"reading from node_id {node_id!r} does not fit its record"
-                f" (value of {len(value)} bytes): {exc}"
+                f"reading does not fit its record: {_misfit(_RECORD_FIELDS, record)}"
             ) from None
         out += value
     return bytes(out)

@@ -60,3 +60,20 @@ def ref_decrypt(ciphertext, key):
         out.append(bit)
     out = ref_swap(out)
     return ref_bits_to_bytes(out)
+
+
+def exhaustive_search_reference(
+    known_plaintext, ciphertext, key_length_bytes, encrypt=ref_encrypt
+):
+    """The scan `wsncrypt.keyspace.exhaustive_search` must equal: one full
+    `encrypt` call per candidate key, smallest first.
+
+    `encrypt` defaults to the bit-at-a-time `ref_encrypt`; differential tests
+    pass the production cipher, itself gated bit-exact against it, so that a
+    2-byte scan stays fast.
+    """
+    for candidate in range(1 << (8 * key_length_bytes)):
+        key = candidate.to_bytes(key_length_bytes, "big")
+        if encrypt(known_plaintext, key) == ciphertext:
+            return key
+    return None

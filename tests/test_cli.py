@@ -536,6 +536,14 @@ def test_attack_round_trip(capsys):
     assert capsys.readouterr().out.strip() == "c01d"
 
 
+def test_attack_round_trip_3_byte_key(capsys):
+    key = bytes.fromhex("005a3c")  # 23,100: the scan tries 23,101 candidates
+    cipher = encrypt(b"attack at dusk", key)
+    assert run(["attack", "--plain-hex", b"attack at dusk".hex(),
+                "--cipher-hex", cipher.hex(), "--key-bytes", "3"]) == 0
+    assert capsys.readouterr().out == "005a3c\n"
+
+
 def test_attack_not_found(capsys):
     assert run(["attack", "--plain-hex", "4142", "--cipher-hex", "c8db",
                 "--key-bytes", "1"]) == 4

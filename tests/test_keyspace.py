@@ -6,8 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import exhaustive_search_reference
 
 from wsncrypt.cipher import adjacent_swap, bytes_to_bits, complement, encrypt
 from wsncrypt.keyspace import (
@@ -181,6 +182,38 @@ def test_search_validation():
         exhaustive_search(b"abc", b"ab", 1)
     with pytest.raises(LengthMismatchError):
         exhaustive_search(b"a", b"a", 2)  # plaintext shorter than the key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_equals_reference_scan(data):
+    """The hoisted trial kernel returns what a full `encrypt` per candidate
+    returns: 1- and 2-byte keys, blocks of L..40 bytes (tails where n % L is
+    not 0 included), true ciphertexts and ones with a bit flipped."""
+    key_len = data.draw(st.sampled_from((1, 2)), label="key_len")
+    key = data.draw(st.binary(min_size=key_len, max_size=key_len), label="key")
+    plaintext = data.draw(st.binary(min_size=key_len, max_size=40), label="plain")
+    ciphertext = encrypt(plaintext, key)
+    if data.draw(st.booleans(), label="flip"):
+        bit = data.draw(st.integers(0, 8 * len(ciphertext) - 1), label="bit")
+        flipped = int.from_bytes(ciphertext, "big") ^ (1 << bit)
+        ciphertext = flipped.to_bytes(len(ciphertext), "big")
+    assert exhaustive_search(
+        plaintext, ciphertext, key_len
+    ) == exhaustive_search_reference(plaintext, ciphertext, key_len, encrypt)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(0, (1 << 12) - 1).map(lambda v: v.to_bytes(3, "big")),
+    st.binary(min_size=3, max_size=40),
+)
+def test_search_equals_reference_scan_3_byte_keys(key, plaintext):
+    """Keys below 2**12, so the reference scan stays short."""
+    ciphertext = encrypt(plaintext, key)
+    found = exhaustive_search(plaintext, ciphertext, 3)
+    assert found == exhaustive_search_reference(plaintext, ciphertext, 3, encrypt)
+    assert found == key
 
 
 # -- scripts/attack_experiment.py ------------------------------------------------

@@ -357,3 +357,23 @@ def test_reading_field_validation():
             [SensorReading(node_id=-1, timestamp=0, kind=ReadingKind.SCALAR,
                            value=b"")]
         )
+
+
+def test_encode_frame_names_the_field_of_a_huge_int():
+    # past the interpreter's int-to-str digit limit, so the message must not
+    # format the value
+    huge = 10**5000
+    with pytest.raises(ValueError, match=r"^frame header .*: sink_id is a u16 "):
+        encode_frame(Frame(sink_id=huge, sequence=0))
+    with pytest.raises(ValueError, match=r"^frame header .*: sequence is a u32 "):
+        encode_frame(Frame(sink_id=0, sequence=huge))
+
+
+def test_encode_readings_names_the_field_of_a_huge_int():
+    huge = 10**5000
+    with pytest.raises(ValueError, match=r"^reading .*: node_id is a u16 "):
+        encode_readings([SensorReading(huge, 0, ReadingKind.SCALAR, b"")])
+    with pytest.raises(ValueError, match=r"^reading .*: timestamp is a u32 "):
+        encode_readings([SensorReading(0, huge, ReadingKind.SCALAR, b"")])
+    with pytest.raises(ValueError, match=r"^reading kind \(int\) is not a "):
+        encode_readings([SensorReading(0, 0, huge, b"")])
