@@ -17,8 +17,8 @@ L)`` with SWAP_NOT the complemented swap table: encrypt maps the plaintext
 with s = swap(k), decrypt maps the ciphertext with s = k.  The map has one
 length fork.  From `_BULK` bytes up, each of the L stream bytes gets its
 own 256-entry table and translates every L-th byte; shorter messages
-(simulator frames, trial blocks) cost less as one SWAP_NOT translate and
-one message-wide integer XOR.  The bit-stream functions below are the
+(simulator frames, the block that confirms a key search's hit) cost less as
+one SWAP_NOT translate and one message-wide integer XOR.  The bit-stream functions below are the
 definitional forms; the tests prove both sides of the fork equal to them
 and to a bit-at-a-time reference.
 

@@ -8,8 +8,8 @@ is always plain text (NO_COLOR needs no special handling).
 
 Arguments are checked by the library calls they feed, or by the subcommand
 where no call can (keygen's length, estimate's rate and result size): a
-rejected argument is a `ValueError`, which `main` alone prints as one
-`error:` line and turns into exit 2.
+rejected argument is a `ValueError`, which `main` alone prints, as one
+`error:` line per problem, and turns into exit 2.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .keyspace import (
     estimate_brute_force,
     exhaustive_search,
 )
-from .sim import InvalidConfigError, load_config, report_to_dict, run_simulation
+from .sim import load_config, report_to_dict, run_simulation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -229,13 +229,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-        report = run_simulation(config)
-    except InvalidConfigError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_simulation(load_config(args.config))
     text = json.dumps(report_to_dict(report), indent=2)
     if args.report is None:
         print(text)
@@ -376,7 +370,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # every rejection of an argument
-        print(f"error: {exc}", file=sys.stderr)
+        # a rejected config (InvalidConfigError) lists each of its problems
+        for problem in getattr(exc, "problems", [exc]):
+            print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
 
 

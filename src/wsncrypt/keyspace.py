@@ -7,10 +7,10 @@ is: one plaintext/ciphertext pair algebraically yields the full keystream,
 and short keys fall to an exhaustive scan.
 
 `exhaustive_search` is the brute-force rate meter, so it pays per candidate
-only what an attacker must: the block's keystream and the repunit that
-repeats a key over the block are computed once per call, and each candidate
-then costs one swap, one multiply, one shift and one comparison against the
-whole block.
+only what an attacker must: the block's raw keystream (`_raw_keystream`, as
+for `recover_keystream`) and the repunit that repeats a key over the block
+are computed once per call, and each candidate then costs one multiply, one
+shift and one comparison against the whole block.
 """
 
 from __future__ import annotations
@@ -84,22 +84,28 @@ def estimate_brute_force(model: AttackModel) -> BruteForceEstimate:
     )
 
 
+def _raw_keystream(known_plaintext: bytes, ciphertext: bytes) -> int:
+    """The raw key, cyclically repeated over the block, as one integer.
+
+    Decryption maps byte j to ``SWAP_NOT[c_j] ^ k_(j mod L)``, so SWAP_NOT
+    of the ciphertext XOR the plaintext is the key stream: any key whose
+    repetition equals it encrypts the plaintext to the ciphertext.
+    """
+    undone = ciphertext.translate(_SWAP_NOT_TABLE)
+    return int.from_bytes(undone, "big") ^ int.from_bytes(known_plaintext, "big")
+
+
 def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
     """Recover the repeating raw key bit stream from one known block.
 
-    Undoing the final swap and the complement of the ciphertext leaves
-    plaintext XOR keystream; XORing the plaintext back out yields the key
-    bits, cyclically repeated to the message length.  All of that is done on
-    whole bytes; only the result is expanded to bits.  Re-encrypting the
-    plaintext under any key whose repetition matches this stream reproduces
-    the ciphertext exactly.
+    The stream is worked out on whole bytes; only the result is expanded to
+    bits, one per bit of the message.
     """
     if len(known_plaintext) == 0 or len(known_plaintext) != len(ciphertext):
         raise LengthMismatchError(
             "plaintext and ciphertext must be the same non-zero length"
         )
-    undone = ciphertext.translate(_SWAP_NOT_TABLE)
-    stream = int.from_bytes(undone, "big") ^ int.from_bytes(known_plaintext, "big")
+    stream = _raw_keystream(known_plaintext, ciphertext)
     width = 8 * len(ciphertext)
     # zero-padded binary digits are the bits MSB first
     return list(format(stream, f"0{width}b").encode().translate(_DIGIT_BITS))
@@ -115,15 +121,12 @@ def exhaustive_search(
     Returns the lexicographically smallest key that encrypts the plaintext
     to the ciphertext, or None.
 
-    A trial kernel hoists what no candidate changes out of the loop: the
-    block's keystream ``need``, which is SWAP_NOT of the plaintext XOR the
-    ciphertext as one integer, and a repunit with a 1 in the low byte of
-    each key period, so that ``swap(k) * repunit`` is the swapped key
-    repeated over whole periods and a right shift drops the last period's
-    bytes past the block.  Every candidate gets its own keystream over the
-    whole block, compared with ``need`` as one integer; none is skipped or
-    judged on part of the block.  The match is confirmed with a real
-    `encrypt` call before being returned.
+    What no candidate changes is worked out once per call: the block's raw
+    keystream, and a repunit with a 1 in the low byte of each key period, so
+    that ``(k * repunit) >> tail`` is key k repeated over whole periods with
+    the last period's bytes past the block shifted out.  Each candidate is
+    compared with the stream as one integer over the whole block, and a
+    match is confirmed with a real `encrypt` call before being returned.
     """
     if not 1 <= key_length_bytes <= MAX_SEARCH_KEY_BYTES:
         raise KeyLengthOutOfRangeError(
@@ -136,19 +139,14 @@ def exhaustive_search(
         raise LengthMismatchError(
             "need equal-length plaintext/ciphertext at least as long as the key"
         )
-    # ~swap(p ^ k) == SWAP_NOT[p] ^ swap(k), so the stream is SWAP_NOT[p] ^ c
-    need = int.from_bytes(known_plaintext.translate(_SWAP_NOT_TABLE), "big")
-    need ^= int.from_bytes(ciphertext, "big")
+    stream = _raw_keystream(known_plaintext, ciphertext)
     periods = -(-len(known_plaintext) // key_length_bytes)
     repunit = int.from_bytes(
         (bytes(key_length_bytes - 1) + b"\x01") * periods, "big"
     )
     tail = 8 * (periods * key_length_bytes - len(known_plaintext))
-    # the low bit of every bit pair; the swap as integer ops on the candidate
-    pair_low = int.from_bytes(b"\x55" * key_length_bytes, "big")
     for candidate in range(1 << (8 * key_length_bytes)):
-        swapped = (candidate & pair_low) << 1 | (candidate >> 1) & pair_low
-        if (swapped * repunit) >> tail == need:
+        if (candidate * repunit) >> tail == stream:
             key = candidate.to_bytes(key_length_bytes, "big")
             if encrypt(known_plaintext, key) == ciphertext:
                 return key

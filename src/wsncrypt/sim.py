@@ -49,8 +49,11 @@ from .topology import (
     validate_topology,
 )
 from .wire import (
+    CHECKSUM_LEN,
+    COUNT_LEN,
     HEADER_LEN,
     MAX_PAYLOAD,
+    RECORD_HEADER_LEN,
     DecodeError,
     Frame,
     ReadingKind,
@@ -212,9 +215,8 @@ def _validate_config(config: SimConfig) -> List[str]:
                     f"hub {hub_id} worst-case batch of {size} bytes exceeds"
                     f" {MAX_PAYLOAD}"
                 )
-        # a frame carries one hub batch (encryption keeps its length)
-        # between the header and the checksum byte
-        frame_bits = 8 * (HEADER_LEN + max(batches.values(), default=0) + 1)
+        # a frame is a header, one hub batch (encrypted, same length), a checksum
+        frame_bits = 8 * (HEADER_LEN + max(batches.values(), default=0) + CHECKSUM_LEN)
         for hook in config.corruption:
             if hook.bit_index >= frame_bits:
                 problems.append(
@@ -252,8 +254,8 @@ def _worst_case_batches(topology: Topology) -> Dict[int, int]:
     tick.  Needs a valid topology."""
     nodes = topology.node_map()
     return {
-        hub_id: 2 + sum(
-            8 + VALUE_LENGTHS[nodes[near].kind]
+        hub_id: COUNT_LEN + sum(
+            RECORD_HEADER_LEN + VALUE_LENGTHS[nodes[near].kind]
             for near in topology.neighbors(hub_id)
             if nodes[near].role == ROLE_SENSOR
         )

@@ -45,6 +45,7 @@ _HEADER_FIELDS = {
 }
 _HEADER = struct.Struct(">" + "".join(_HEADER_FIELDS.values()))
 HEADER_LEN = _HEADER.size
+CHECKSUM_LEN = 1  # the xor_fold byte after the payload
 MAX_PAYLOAD = 0xFFFF
 
 
@@ -102,7 +103,9 @@ _KINDS = tuple(ReadingKind)
 # one reading record's fixed part
 _RECORD_FIELDS = {"node_id": "H", "timestamp": "I", "kind": "B", "value_length": "B"}
 _RECORD = struct.Struct(">" + "".join(_RECORD_FIELDS.values()))
+RECORD_HEADER_LEN = _RECORD.size
 _COUNT = struct.Struct(">H")
+COUNT_LEN = _COUNT.size
 
 
 class SensorReading(NamedTuple):
@@ -176,14 +179,14 @@ def decode_frame(data: bytes) -> Frame:
     Raises a distinct DecodeError subclass per failure so receivers can
     count rejections by kind.
     """
-    if len(data) < HEADER_LEN + 1:
+    if len(data) < HEADER_LEN + CHECKSUM_LEN:
         raise TruncatedError(f"{len(data)} bytes is shorter than any frame")
     magic, version, sink_id, sequence, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic.hex()}")
     if version != VERSION:
         raise UnsupportedVersionError(f"version {version} not supported")
-    expected = HEADER_LEN + payload_len + 1
+    expected = HEADER_LEN + payload_len + CHECKSUM_LEN
     if len(data) < expected:
         raise TruncatedError(
             f"frame declares {payload_len} payload bytes but only "

@@ -644,6 +644,21 @@ def test_simulate_invalid_config_is_usage_error(tmp_path, capsys):
     assert "sink 30 has no key" in capsys.readouterr().err
 
 
+def test_simulate_config_problems_are_one_error_line_each(tmp_path, capsys):
+    doc = json.loads(CONFIG_PATH.read_text())
+    doc["keys"] = {}
+    doc["duration_ticks"] = 0
+    config_path = tmp_path / "invalid.json"
+    config_path.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: duration_ticks must be >= 1\n"
+        "error: sink 30 has no key\n"
+    )
+
+
 def test_simulate_malformed_config_exits_cleanly(tmp_path):
     doc = json.loads(CONFIG_PATH.read_text())
     doc["routes"] = list(doc["routes"].values())
