@@ -14,6 +14,12 @@ out in the order their hubs flushed them).  Idle ticks hold no event, so a
 run costs time in proportion to its readings and frames, not to
 `duration_ticks`.
 
+A sense event fires a cohort: the sensors of one hub that share a period.
+Each of their value words has its own 128-bit lane of one integer, so
+`rng.mix64_lanes` derives every value of a firing in a few whole-integer
+operations, byte for byte what `sense` gives sensor by sensor.  Two cohorts
+of one hub may fire on one tick, so a flush sorts its batch by node id.
+
 The whole run is a pure function of SimConfig: sensor values come from the
 seeded mixer in `wsncrypt.rng` and the event order is total, so two runs of
 one config are bit-identical.  The only way to lose data is the explicit
@@ -35,8 +41,9 @@ import itertools
 import json
 import operator
 import re
+import struct
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import rng
 from .cipher import MAX_KEY_BYTES, decrypt, encrypt
@@ -69,6 +76,12 @@ VALUE_LENGTHS = {
     ReadingKind.SCALAR: 2,
     ReadingKind.AUDIO: 16,
     ReadingKind.VIDEO: 32,
+}
+
+# derive_bytes's (i * GOLDEN) for each word i of a value of each kind
+_WORD_STEPS = {
+    kind: [(i * rng.GOLDEN) & rng.MASK64 for i in range(1, -(-length // 8) + 1)]
+    for kind, length in VALUE_LENGTHS.items()
 }
 
 
@@ -149,6 +162,51 @@ def sense(node_id: int, kind: ReadingKind, tick: int, seed: int) -> SensorReadin
     stream_seed = _mixed_seed(seed) ^ rng.mix64((node_id << 32) | (tick & 0xFFFFFFFF))
     value = rng.derive_bytes(stream_seed, VALUE_LENGTHS[kind])
     return SensorReading(node_id, tick, kind, value)
+
+
+def _cohort_sensor(
+    sensors: Sequence[Tuple[int, ReadingKind]], seed: int
+) -> Callable[[int], List[SensorReading]]:
+    """Sensing for a cohort: returns `at(tick)`, which equals
+    `[sense(n, k, tick, seed) for n, k in sensors]` for ticks 1..0xFFFFFFFF.
+
+    Every value word of every sensor gets its own 128-bit lane of one
+    integer, so a firing runs `sense`'s two mixes over all the words at once
+    (`rng.mix64_lanes`), makes one `to_bytes`, and cuts each value out at a
+    fixed offset.
+    """
+    members = []
+    stream_ids: List[int] = []  # per word, its sensor's (node_id << 32)
+    steps: List[int] = []  # per word, derive_bytes's i * GOLDEN
+    for node_id, kind in sensors:
+        start = 8 * len(steps)
+        members.append((node_id, kind, start, start + VALUE_LENGTHS[kind]))
+        kind_steps = _WORD_STEPS[kind]
+        stream_ids += [node_id << 32] * len(kind_steps)
+        steps += kind_steps
+    ones = _lanes([1] * len(steps))
+    base, golden = _lanes(stream_ids), _lanes(steps)
+    mask = ones * rng.MASK64
+    seeds = _mixed_seed(seed) * ones
+    size = 16 * len(steps)
+    new = tuple.__new__  # builds the same tuple as SensorReading(...), faster
+
+    def at(tick: int) -> List[SensorReading]:
+        # each lane's stream seed, then its derive_bytes word
+        x = rng.mix64_lanes(base + tick * ones, mask) ^ seeds
+        x = rng.mix64_lanes(x + golden, mask)
+        # big-endian, each lane's empty high half comes first: drop them
+        stream = memoryview(x.to_bytes(size, "big")).cast("Q")[1::2].tobytes()
+        return [new(SensorReading, (n, tick, k, stream[a:b])) for n, k, a, b in members]
+
+    return at
+
+
+def _lanes(words: Sequence[int]) -> int:
+    """64-bit words packed into 128-bit lanes of one integer, first word in
+    the highest lane."""
+    # per lane, big-endian: 8 zero bytes, then the word
+    return int.from_bytes(struct.pack(">" + "8xQ" * len(words), *words), "big")
 
 
 # a run senses every reading under one seed, so one entry saves all but the
@@ -286,13 +344,19 @@ def run_simulation(config: SimConfig) -> SimReport:
     nodes = topology.node_map()
     hub_ids = set(topology.ids_with_role(ROLE_HUB))
     duration = config.duration_ticks
-    events = []
-    for sensor_id in topology.ids_with_role(ROLE_SENSOR):
+    # a cohort is the sensors of one hub that share a period, in id order
+    cohorts: Dict[Tuple[int, int], List[Tuple[int, ReadingKind]]] = {}
+    for sensor_id in sorted(topology.ids_with_role(ROLE_SENSOR)):
         node = nodes[sensor_id]
         period = node.sense_period_ticks or config.sense_period_ticks
         if period <= duration:
             (hub_id,) = topology.neighbors(sensor_id) & hub_ids
-            events.append((period, SENSE, sensor_id, period, hub_id, node.kind))
+            cohorts.setdefault((hub_id, period), []).append((sensor_id, node.kind))
+    # (tick, stage, hub, period) is unique, so no comparison reaches a cohort
+    events = [
+        (period, SENSE, hub_id, period, _cohort_sensor(sensors, config.seed))
+        for (hub_id, period), sensors in cohorts.items()
+    ]
     heapq.heapify(events)
     # ticks from a route's first node to its last; routes never change
     transit = {
@@ -327,25 +391,27 @@ def run_simulation(config: SimConfig) -> SimReport:
         event = events[0]
         stage = event[1]
         if stage == SENSE:
-            tick, _, sensor_id, period, hub_id, kind = event
+            tick, _, hub_id, period, cohort = event
             if tick + period <= duration:
                 heapq.heapreplace(
-                    events, (tick + period, SENSE, sensor_id, period, hub_id, kind)
+                    events, (tick + period, SENSE, hub_id, period, cohort)
                 )
             else:
                 heapq.heappop(events)
-            reading = sense(sensor_id, kind, tick, config.seed)
-            report.readings_sensed += 1
+            readings = cohort(tick)
+            report.readings_sensed += len(readings)
             inbox = hub_inbox.get(hub_id)
             if inbox is None:
-                hub_inbox[hub_id] = [reading]
+                hub_inbox[hub_id] = readings
                 heapq.heappush(events, (tick, FLUSH, hub_id))
             else:
-                inbox.append(reading)
+                inbox += readings
         elif stage == FLUSH:
             tick, _, hub_id = event
             batch = hub_inbox.pop(hub_id)
-            # sorted already: sensors fire in id order, the inbox holds one tick
+            # the inbox holds one tick; each cohort that fired on it arrived
+            # in id order, but the cohorts did not, so carried needs the sort
+            batch.sort(key=_NODE_THEN_TIME)
             heapq.heapreplace(events, (
                 tick + transit[hub_id], TRANSMIT, topology.routes[hub_id][-1],
                 next(ordinals), aggregate(batch), tuple(batch),

@@ -16,6 +16,7 @@ from wsncrypt.sim import (
     FrameCorruption,
     InvalidConfigError,
     UnknownSinkError,
+    _cohort_sensor,
     aggregate,
     config_from_dict,
     fusion_receive,
@@ -158,6 +159,18 @@ def test_sense_value_lengths():
 def test_sense_values_rarely_repeat():
     values = {sense(1, ReadingKind.SCALAR, tick, 7).value for tick in range(1, 1001)}
     assert len(values) >= 990
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 0xFFFF), st.sampled_from(list(ReadingKind))),
+             min_size=1, max_size=64),
+    st.integers(1, 0xFFFFFFFF),
+    st.integers(0, (1 << 64) - 1),
+)
+def test_cohort_sensing_equals_sense(cohort, tick, seed):
+    readings = _cohort_sensor(cohort, seed)(tick)
+    assert readings == [sense(n, k, tick, seed) for n, k in cohort]
+    assert all(type(r) is SensorReading for r in readings)
 
 
 # -- aggregate ----------------------------------------------------------------------
@@ -464,6 +477,38 @@ def small_networks(draw):
 def test_event_clock_matches_tick_by_tick_reference(config):
     expected = json.dumps(report_to_dict(ref_run_simulation(config)))
     assert json.dumps(report_to_dict(run_simulation(config))) == expected
+
+
+def test_cohorts_merged_on_one_tick_flush_in_id_order():
+    """One hub's sensors alternate between periods 2 and 3, so ticks 6 and
+    12 fire both cohorts; the hub's batch must still be in id order."""
+    sensors = [
+        NodeSpec(sensor, "sensor", kind, period)
+        for sensor, kind, period in [
+            (1, ReadingKind.SCALAR, 2), (2, ReadingKind.VIDEO, 3),
+            (3, ReadingKind.AUDIO, 2), (4, ReadingKind.SCALAR, 3),
+            (5, ReadingKind.VIDEO, 2), (6, ReadingKind.AUDIO, 3),
+        ]
+    ]
+    keys = {30: b"\x5a\x0f\xc3"}
+    config = SimConfig(
+        topology=Topology(
+            nodes=(*sensors, NodeSpec(10, "hub"), NodeSpec(30, "sink"),
+                   NodeSpec(99, "fusion_center")),
+            edges=(*((s.id, 10) for s in sensors), (10, 30), (30, 99)),
+            routes={10: (10, 30), 30: (30, 99)},
+        ),
+        sink_keys=keys,
+        registry=dict(keys),
+        seed=7,
+        duration_ticks=12,
+        sense_period_ticks=1,
+        hop_latency_ticks=1,
+    )
+    report = run_simulation(config)
+    assert report.fidelity_ok
+    assert (report.readings_sensed, report.frames_sent) == (30, 8)
+    assert report == ref_run_simulation(config)
 
 
 # (period, hop latency, duration): hundreds of arrival ticks in flight at
