@@ -38,9 +38,17 @@ def run_searches(key_len: int, instances: int, rng: random.Random):
     return total_keys_tried, total_seconds
 
 
+def count(text: str) -> int:
+    """A count of at least 1: the measured rate divides by what it saw."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--instances", type=int, default=20)
+    parser.add_argument("--instances", type=count, default=20)
     parser.add_argument("--max-key-bytes", type=int, default=2,
                         choices=(1, 2, 3))
     parser.add_argument("--seed", type=int, default=1)

@@ -7,9 +7,9 @@ stderr; hex is emitted lowercase and accepted case-insensitively.  Output
 is always plain text (NO_COLOR needs no special handling).
 
 Arguments are checked by the library calls they feed, or by the subcommand
-where no call can (keygen's length, estimate's rate and result size): a
-rejected argument is a `ValueError`, which `main` alone prints, as one
-`error:` line per problem, and turns into exit 2.
+where no call can (keygen's length and seed, estimate's rate and result
+size): a rejected argument is a `ValueError`, which `main` alone prints, as
+one `error:` line per problem, and turns into exit 2.
 """
 
 from __future__ import annotations
@@ -165,6 +165,9 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 def cmd_keygen(args: argparse.Namespace) -> int:
     if not 1 <= args.key_bytes <= MAX_KEY_BYTES:
         raise ValueError(f"--key-bytes must be 1..{MAX_KEY_BYTES}")
+    # mix64 masks its input, so a seed outside u64 would wrap silently
+    if args.seed is not None and not 0 <= args.seed <= rng.MASK64:
+        raise ValueError(f"--seed must be 0..{rng.MASK64}")
     if args.seed is None:
         key = secrets.token_bytes(args.key_bytes)
     else:
@@ -336,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a random key")
     p.add_argument("--key-bytes", type=int, required=True)
-    p.add_argument("--seed", type=int, help="derive deterministically")
+    p.add_argument("--seed", type=int,
+                   help="derive deterministically from a seed in 0..2**64-1")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("estimate", help="brute-force cost arithmetic")

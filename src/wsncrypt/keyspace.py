@@ -6,6 +6,12 @@ year).  The two attack functions demonstrate how weak the cipher actually
 is: one plaintext/ciphertext pair algebraically yields the full keystream,
 and short keys fall to an exhaustive scan.
 
+That keystream is a key of at most MAX_KEY_BYTES bytes repeated over the
+block, so it has a period of at most MAX_KEY_BYTES.  `_key_period` finds the
+shortest such period with one bounded `find` that proposes candidates and a
+whole-block compare that confirms each one, and `recover_keystream` expands
+only that one period to bits and repeats the list.
+
 `exhaustive_search` is the brute-force rate meter, so it pays per candidate
 only what an attacker must: the block's raw keystream (`_raw_keystream`, as
 for `recover_keystream`) and the repunit that repeats a key over the block
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .cipher import _SWAP_NOT_TABLE, encrypt
+from .cipher import _SWAP_NOT_TABLE, MAX_KEY_BYTES, encrypt
 
 SECONDS_PER_YEAR = 86400 * 365
 
@@ -95,20 +101,52 @@ def _raw_keystream(known_plaintext: bytes, ciphertext: bytes) -> int:
     return int.from_bytes(undone, "big") ^ int.from_bytes(known_plaintext, "big")
 
 
+def _key_period(raw: bytes) -> int:
+    """The shortest period of `raw` of at most MAX_KEY_BYTES, else len(raw).
+
+    p is a period when ``raw[p:] == raw[:-p]``.  Every candidate p is at
+    most ``last`` and leaves at least ``w`` bytes after it, so a true period
+    repeats the first ``w`` bytes at p: one bounded `find` of them proposes
+    the candidates in increasing order, and only the whole-block compare
+    accepts one.  A block with no short period costs a `find` within its
+    first 2 * MAX_KEY_BYTES bytes, plus a compare for each chance match.
+    """
+    n = len(raw)
+    last = min(MAX_KEY_BYTES, n - 1)
+    w = min(MAX_KEY_BYTES, n - last)
+    head = raw[:w]
+    p = raw.find(head, 1, last + w)
+    while p > 0:
+        if raw[p:] == raw[:-p]:
+            return p
+        p = raw.find(head, p + 1, last + w)
+    return n
+
+
 def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
     """Recover the repeating raw key bit stream from one known block.
 
-    The stream is worked out on whole bytes; only the result is expanded to
-    bits, one per bit of the message.
+    The stream is worked out on whole bytes.  It is the key repeated over
+    the block, so only its shortest period of at most MAX_KEY_BYTES bytes
+    (`_key_period`) is expanded to bits, one list that is then repeated and
+    cut to one bit per bit of the message.  A block with no such period,
+    such as a ciphertext not made from the plaintext, has the whole block
+    as its period and is expanded in full.
     """
     if len(known_plaintext) == 0 or len(known_plaintext) != len(ciphertext):
         raise LengthMismatchError(
             "plaintext and ciphertext must be the same non-zero length"
         )
-    stream = _raw_keystream(known_plaintext, ciphertext)
-    width = 8 * len(ciphertext)
+    n = len(ciphertext)
+    raw = _raw_keystream(known_plaintext, ciphertext).to_bytes(n, "big")
+    period = _key_period(raw)
     # zero-padded binary digits are the bits MSB first
-    return list(format(stream, f"0{width}b").encode().translate(_DIGIT_BITS))
+    digits = format(int.from_bytes(raw[:period], "big"), f"0{8 * period}b")
+    bits = list(digits.encode().translate(_DIGIT_BITS))
+    # in place: a trimmed copy of the block's list costs more than it saves
+    bits *= -(-n // period)
+    del bits[8 * n:]
+    return bits
 
 
 def exhaustive_search(

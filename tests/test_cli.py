@@ -411,6 +411,11 @@ USAGE_ERRORS = {
                           "--key-bytes must be 1..32"),
     "keygen-33-bytes": (["keygen", "--key-bytes", "33"],
                         "--key-bytes must be 1..32"),
+    # mix64 masks to 64 bits, so these would print the keys of 2**64-1 and 0
+    "keygen-negative-seed": (["keygen", "--key-bytes", "8", "--seed", "-1"],
+                             "--seed must be 0..18446744073709551615"),
+    "keygen-seed-2**64": (["keygen", "--key-bytes", "8", "--seed", str(2**64)],
+                          "--seed must be 0..18446744073709551615"),
 }
 
 

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import exhaustive_search_reference
 
-from wsncrypt.cipher import adjacent_swap, bytes_to_bits, complement, encrypt
+from wsncrypt.cipher import (
+    adjacent_swap,
+    bits_to_bytes,
+    bytes_to_bits,
+    complement,
+    encrypt,
+)
 from wsncrypt.keyspace import (
     MODE_AVERAGE,
     MODE_WORST_CASE,
@@ -18,6 +24,7 @@ from wsncrypt.keyspace import (
     AttackModel,
     KeyLengthOutOfRangeError,
     LengthMismatchError,
+    _key_period,
     estimate_brute_force,
     exhaustive_search,
     recover_keystream,
@@ -143,6 +150,101 @@ def test_recovered_prefix_is_the_key(data):
     assert stream[: 8 * len(key)] == bytes_to_bits(key)
 
 
+# -- recover_keystream: one key period, repeated -----------------------------------
+
+
+def _bit_list_definition(plaintext, ciphertext):
+    masked = complement(adjacent_swap(bytes_to_bits(ciphertext)))
+    return [c ^ p for c, p in zip(masked, bytes_to_bits(plaintext))]
+
+
+def _shortest_period(stream):
+    """Every p from 1 to 32 tried against the whole stream, else its length."""
+    return next(
+        (p for p in range(1, min(32, len(stream) - 1) + 1)
+         if stream[p:] == stream[:-p]),
+        len(stream),
+    )
+
+
+def _pair_with_stream(stream, rng):
+    """A random plaintext and the ciphertext that leaks `stream` with it."""
+    plaintext = rng.randbytes(len(stream))
+    undone = bytes(s ^ p for s, p in zip(stream, plaintext))
+    # the swap and the complement are their own inverses and commute
+    return plaintext, bits_to_bytes(complement(adjacent_swap(bytes_to_bits(undone))))
+
+
+@pytest.mark.parametrize("key_len", range(1, 33))
+def test_real_pair_expands_one_key_period(key_len):
+    """Blocks shorter than, as long as and around twice the key, and 64 bytes."""
+    rng = random.Random(key_len)
+    key = rng.randbytes(key_len)
+    for n in sorted({max(1, m + d) for m in (key_len, 2 * key_len, 64)
+                     for d in (-1, 0, 1)}):
+        plaintext = rng.randbytes(n)
+        ciphertext = encrypt(plaintext, key)
+        stream = (key * n)[:n]
+        assert _key_period(stream) == _shortest_period(stream)
+        if n > key_len:  # the key period itself is found, or a shorter one
+            assert _key_period(stream) <= key_len
+        assert recover_keystream(plaintext, ciphertext) == _bit_list_definition(
+            plaintext, ciphertext
+        )
+
+
+@given(st.data())
+def test_window_that_recurs_without_a_period_is_refused(data):
+    """A p-periodic stream with one byte changed past its first 64 bytes: its
+    first bytes recur at p, so p is proposed, and the whole-block compare must
+    refuse it."""
+    period = data.draw(st.integers(1, 32), label="period")
+    n = data.draw(st.integers(period + 65, 300), label="n")
+    at = data.draw(st.integers(64, n - 1), label="at")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    stream = bytearray((rng.randbytes(period) * n)[:n])
+    stream[at] ^= data.draw(st.integers(1, 255), label="delta")
+    stream = bytes(stream)
+    assert stream.find(stream[:32], 1, 64) != -1
+    assert _key_period(stream) == _shortest_period(stream) != period
+    plaintext, ciphertext = _pair_with_stream(stream, rng)
+    assert recover_keystream(plaintext, ciphertext) == _bit_list_definition(
+        plaintext, ciphertext
+    )
+
+
+@pytest.mark.parametrize("period", range(33, 65))
+def test_period_longer_than_any_key_expands_in_full(period):
+    rng = random.Random(period)
+    unit = rng.randbytes(period)
+    for n in (period + 1, 2 * period, 2 * period + 1, 200):
+        stream = (unit * n)[:n]
+        assert _shortest_period(stream) == n  # these seeds give no period <= 32
+        assert _key_period(stream) == n
+        plaintext, ciphertext = _pair_with_stream(stream, rng)
+        assert recover_keystream(plaintext, ciphertext) == _bit_list_definition(
+            plaintext, ciphertext
+        )
+
+
+@pytest.mark.parametrize("pair", [True, False], ids=["pair", "non-pair"])
+def test_one_mib_block_matches_bit_list_definition(pair):
+    rng = random.Random(1 << 20)
+    plaintext = rng.randbytes(1 << 20)
+    if pair:
+        ciphertext = encrypt(plaintext, rng.randbytes(19))
+    else:
+        ciphertext = rng.randbytes(1 << 20)
+    stream = recover_keystream(plaintext, ciphertext)
+    assert len(stream) == 8 << 20
+    step = 1 << 16  # the definition one slice at a time keeps memory small
+    for i in range(0, 1 << 20, step):
+        expected = _bit_list_definition(
+            plaintext[i:i + step], ciphertext[i:i + step]
+        )
+        assert stream[8 * i:8 * (i + step)] == expected
+
+
 # -- exhaustive_search ------------------------------------------------------------
 
 
@@ -234,3 +336,17 @@ def test_attack_experiment_script():
         r" recovered as \1 \(match\) in O\(n\), no search$",
         done.stdout, re.MULTILINE,
     )
+
+
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_attack_experiment_script_refuses_counts_below_1(instances):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "attack_experiment.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--instances", instances],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: ")
+    assert f"argument --instances: must be at least 1, got {instances}" in done.stderr
+    assert "Traceback" not in done.stderr
