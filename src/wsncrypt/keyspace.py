@@ -12,11 +12,14 @@ shortest such period with one bounded `find` that proposes candidates and a
 whole-block compare that confirms each one, and `recover_keystream` expands
 only that one period to bits and repeats the list.
 
-`exhaustive_search` is the brute-force rate meter, so it pays per candidate
-only what an attacker must: the block's raw keystream (`_raw_keystream`, as
-for `recover_keystream`) and the repunit that repeats a key over the block
-are computed once per call, and each candidate then costs one multiply, one
-shift and one comparison against the whole block.
+`exhaustive_search` is the brute-force rate meter, so it scans the way a
+careful attacker would: many candidates per machine operation.  The block's
+raw keystream (`_raw_keystream`, as for `recover_keystream`) is worked out
+once per call.  Then SEARCH_LANES consecutive candidates at a time each get a
+lane of one integer, holding the candidate repeated over the whole key
+periods in the block's first SEARCH_LANE_BYTES bytes, and one `find` of the
+stream's first lane's worth of bytes compares every lane at once.  A lane
+that matches is confirmed with a real `encrypt` over the whole block.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ MODE_AVERAGE = "average"
 MODE_WORST_CASE = "worst_case"
 
 MAX_SEARCH_KEY_BYTES = 3  # keeps the scan within 2**24 candidates
+
+# Candidates tested per pass of the exhaustive scan.  A power of two that
+# divides 2**(8 * L) for every searched key length L, so the last pass ends on
+# the last key and no lane's count carries into its neighbour.
+SEARCH_LANES = 256
+# A lane repeats its candidate over the whole key periods within this many
+# leading bytes of the block; the confirming `encrypt` checks the rest.
+SEARCH_LANE_BYTES = 16
 
 # ASCII binary digits -> bit values
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -159,12 +170,17 @@ def exhaustive_search(
     Returns the lexicographically smallest key that encrypts the plaintext
     to the ciphertext, or None.
 
-    What no candidate changes is worked out once per call: the block's raw
-    keystream, and a repunit with a 1 in the low byte of each key period, so
-    that ``(k * repunit) >> tail`` is key k repeated over whole periods with
-    the last period's bytes past the block shifted out.  Each candidate is
-    compared with the stream as one integer over the whole block, and a
-    match is confirmed with a real `encrypt` call before being returned.
+    The scan tests SEARCH_LANES consecutive candidates per pass.  Candidate
+    ``first + i`` fills lane i of one integer: the candidate repeated over
+    ``width`` bytes, the whole key periods within the block's first
+    SEARCH_LANE_BYTES (at least one period).  A pass is ``first * step +
+    offsets``, where ``step`` has a 1 in the low byte of every period of
+    every lane and ``offsets`` holds ``i * repunit`` in lane i.  Its bytes
+    hold every lane in candidate order, so the first lane-aligned `find` of
+    the stream's first ``width`` bytes is the smallest candidate whose
+    repetition matches there.  That candidate is confirmed with a real
+    `encrypt` over the whole block; if it fails, the scan goes on after its
+    lane.
     """
     if not 1 <= key_length_bytes <= MAX_SEARCH_KEY_BYTES:
         raise KeyLengthOutOfRangeError(
@@ -177,15 +193,25 @@ def exhaustive_search(
         raise LengthMismatchError(
             "need equal-length plaintext/ciphertext at least as long as the key"
         )
-    stream = _raw_keystream(known_plaintext, ciphertext)
-    periods = -(-len(known_plaintext) // key_length_bytes)
-    repunit = int.from_bytes(
-        (bytes(key_length_bytes - 1) + b"\x01") * periods, "big"
-    )
-    tail = 8 * (periods * key_length_bytes - len(known_plaintext))
-    for candidate in range(1 << (8 * key_length_bytes)):
-        if (candidate * repunit) >> tail == stream:
-            key = candidate.to_bytes(key_length_bytes, "big")
-            if encrypt(known_plaintext, key) == ciphertext:
-                return key
+    n = len(known_plaintext)
+    # n >= key length, and every searched key fits SEARCH_LANE_BYTES
+    periods = min(n, SEARCH_LANE_BYTES) // key_length_bytes
+    width = periods * key_length_bytes
+    head = _raw_keystream(known_plaintext, ciphertext).to_bytes(n, "big")[:width]
+    period = bytes(key_length_bytes - 1) + b"\x01"
+    repunit = int.from_bytes(period * periods, "big")
+    step = int.from_bytes(period * (periods * SEARCH_LANES), "big")
+    counters = bytearray(width * SEARCH_LANES)
+    counters[width - 1::width] = range(SEARCH_LANES)  # i in lane i's low byte
+    offsets = int.from_bytes(counters, "big") * repunit
+    size = len(counters)
+    for first in range(0, 1 << (8 * key_length_bytes), SEARCH_LANES):
+        lanes = (first * step + offsets).to_bytes(size, "big")
+        at = lanes.find(head)
+        while at >= 0:
+            if at % width == 0:
+                key = (first + at // width).to_bytes(key_length_bytes, "big")
+                if encrypt(known_plaintext, key) == ciphertext:
+                    return key
+            at = lanes.find(head, at - at % width + width)
     return None

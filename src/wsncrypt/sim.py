@@ -18,7 +18,8 @@ A sense event fires a cohort: the sensors of one hub that share a period.
 Each of their value words has its own 128-bit lane of one integer, so
 `rng.mix64_lanes` derives every value of a firing in a few whole-integer
 operations, byte for byte what `sense` gives sensor by sensor.  Two cohorts
-of one hub may fire on one tick, so a flush sorts its batch by node id.
+of one hub may fire on one tick, so a flush sorts its batch by node id, once:
+the sorted batch is encoded directly, byte for byte what `aggregate` gives.
 
 The whole run is a pure function of SimConfig: sensor values come from the
 seeded mixer in `wsncrypt.rng` and the event order is total, so two runs of
@@ -414,7 +415,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             batch.sort(key=_NODE_THEN_TIME)
             heapq.heapreplace(events, (
                 tick + transit[hub_id], TRANSMIT, topology.routes[hub_id][-1],
-                next(ordinals), aggregate(batch), tuple(batch),
+                next(ordinals), encode_readings(batch), tuple(batch),
             ))
         elif stage == TRANSMIT:
             tick, _, sink_id, ordinal, payload, carried = event

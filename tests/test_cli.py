@@ -555,6 +555,15 @@ def test_attack_not_found(capsys):
     assert capsys.readouterr().out.strip() == "not found"
 
 
+def test_attack_3_byte_key_matching_only_the_first_period_not_found(capsys):
+    plaintext = b"attack at sunset"
+    cipher = bytearray(encrypt(plaintext, bytes.fromhex("a1b2c3")))
+    cipher[-1] ^= 0x01  # past the first key period and the 15-byte lane
+    assert run(["attack", "--plain-hex", plaintext.hex(), "--cipher-hex",
+                cipher.hex(), "--key-bytes", "3"]) == 4
+    assert capsys.readouterr().out == "not found\n"
+
+
 def test_attack_length_mismatch_rejected():
     assert run(["attack", "--plain-hex", "4142", "--cipher-hex", "d8",
                 "--key-bytes", "1"]) == 2

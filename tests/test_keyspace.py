@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import exhaustive_search_reference
 
+from wsncrypt import keyspace
 from wsncrypt.cipher import (
     adjacent_swap,
     bits_to_bytes,
     bytes_to_bits,
     complement,
+    decrypt,
     encrypt,
 )
 from wsncrypt.keyspace import (
@@ -316,6 +318,53 @@ def test_search_equals_reference_scan_3_byte_keys(key, plaintext):
     found = exhaustive_search(plaintext, ciphertext, 3)
     assert found == exhaustive_search_reference(plaintext, ciphertext, 3, encrypt)
     assert found == key
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lane_hit_rejected_by_the_whole_block_equals_reference_scan(data):
+    """Blocks of 17..64 bytes with one bit flipped past the first 16: the
+    stream's first bytes still match the key's lane, so only the confirming
+    `encrypt` over the whole block can refuse it."""
+    key_len = data.draw(st.sampled_from((1, 2)), label="key_len")
+    key = data.draw(st.binary(min_size=key_len, max_size=key_len), label="key")
+    plaintext = data.draw(st.binary(min_size=17, max_size=64), label="plain")
+    ciphertext = bytearray(encrypt(plaintext, key))
+    at = data.draw(st.integers(16, len(ciphertext) - 1), label="at")
+    ciphertext[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    ciphertext = bytes(ciphertext)
+    found = exhaustive_search(plaintext, ciphertext, key_len)
+    assert found is None
+    assert found == exhaustive_search_reference(plaintext, ciphertext, key_len, encrypt)
+
+
+@pytest.mark.parametrize("key_hex", ["00", "ff", "0100", "ffff", "000100", "ffffff"])
+def test_keys_at_the_edges_of_a_pass_are_found(key_hex):
+    """The first and last lanes of the first and last passes, and the first
+    lane of the second pass, over blocks as long as the key, shorter than the
+    lane prefix, as long as it and longer."""
+    key = bytes.fromhex(key_hex)
+    rng = random.Random(key_hex)
+    for n in (len(key), 7, 16, 41):
+        plaintext = rng.randbytes(n)
+        ciphertext = encrypt(plaintext, key)
+        found = exhaustive_search(plaintext, ciphertext, len(key))
+        assert found == key  # n >= L: the block's first L bytes fix the key
+        assert decrypt(ciphertext, found) == plaintext
+
+
+def test_match_that_straddles_two_lanes_is_not_a_candidate(monkeypatch):
+    """1-byte keys fill a 16-byte lane with one byte value, so a stream that
+    starts with 5s and then 6s matches across lanes 5 and 6.  No key yields
+    it, and the straddling match is skipped without an `encrypt` call."""
+    stream = bytes([5] * 9 + [6] * 7)
+    plaintext, ciphertext = _pair_with_stream(stream, random.Random(5))
+    calls = []
+    monkeypatch.setattr(
+        keyspace, "encrypt", lambda *args: calls.append(args) or encrypt(*args)
+    )
+    assert exhaustive_search(plaintext, ciphertext, 1) is None
+    assert calls == []
 
 
 # -- scripts/attack_experiment.py ------------------------------------------------
