@@ -3,8 +3,9 @@
 
 Generates random known-plaintext instances, recovers the keys by exhaustive
 search, measures the achieved guess rate, and then extrapolates that rate to
-the full 64-bit keyspace with the exact estimator.  Also demonstrates the
-one-block keystream recovery, which needs no search at all.
+the full 64-bit keyspace with the exact estimator.  Then reads an 8-byte
+key off one known block with `recover_key`, which needs no search at all,
+and prints the nominal keyspace beside that effective one.
 """
 
 import argparse
@@ -12,13 +13,13 @@ import random
 import time
 from fractions import Fraction
 
-from wsncrypt.cipher import bits_to_bytes, encrypt
+from wsncrypt.cipher import encrypt
 from wsncrypt.keyspace import (
     MODE_AVERAGE,
     AttackModel,
     estimate_brute_force,
     exhaustive_search,
-    recover_keystream,
+    recover_key,
 )
 
 
@@ -75,15 +76,18 @@ def main() -> None:
     print(f"at that rate, an average 64-bit search takes "
           f"{estimate.years_floor:,} years")
 
-    # the cheap attack: one known block gives the keystream directly
+    # the cheap attack: one known block gives the key directly
     key = rng.randbytes(8)
     plaintext = rng.randbytes(24)
     ciphertext = encrypt(plaintext, key)
-    stream = recover_keystream(plaintext, ciphertext)
-    recovered = bits_to_bytes(stream[: 8 * len(key)])
+    recovered = recover_key(plaintext, ciphertext, len(key))
     print(f"\nkeystream recovery from one {len(plaintext)}-byte block: "
           f"key {key.hex()} recovered as {recovered.hex()} "
           f"({'match' if recovered == key else 'MISMATCH'}) in O(n), no search")
+    print(f"nominal keyspace: 2^{8 * len(key)} keys of {len(key)} bytes")
+    # a known block at least as long as the key leaves one key that fits
+    print(f"effective keyspace: 2^0 = 1 key, given one known block of "
+          f"at least {len(key)} bytes")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 `estimate_brute_force` reproduces the usual back-of-envelope keyspace math
 with exact integers (2**n keyspace, rational seconds and years, 365-day
-year).  The two attack functions demonstrate how weak the cipher actually
+year).  The attack functions demonstrate how weak the cipher actually
 is: one plaintext/ciphertext pair algebraically yields the full keystream,
 and short keys fall to an exhaustive scan.
 
@@ -12,14 +12,23 @@ shortest such period with one bounded `find` that proposes candidates and a
 whole-block compare that confirms each one, and `recover_keystream` expands
 only that one period to bits and repeats the list.
 
+`recover_key` reads the key itself off the first period of that stream:
+one known block at least as long as the key leaves exactly one key of that
+length, so the effective keyspace of a known-plaintext attack is 1, whatever
+the nominal 2**(8 * L).
+
 `exhaustive_search` is the brute-force rate meter, so it scans the way a
 careful attacker would: many candidates per machine operation.  The block's
 raw keystream (`_raw_keystream`, as for `recover_keystream`) is worked out
-once per call.  Then SEARCH_LANES consecutive candidates at a time each get a
-lane of one integer, holding the candidate repeated over the whole key
-periods in the block's first SEARCH_LANE_BYTES bytes, and one `find` of the
-stream's first lane's worth of bytes compares every lane at once.  A lane
-that matches is confirmed with a real `encrypt` over the whole block.
+once per call, and so is one constant lane table: SEARCH_LANES lanes, lane
+i holding the key-length integer ``i`` repeated over the whole key periods
+in the block's first SEARCH_LANE_BYTES bytes.  A pass covers the
+SEARCH_LANES candidates from ``first``, a multiple of SEARCH_LANES, so
+candidate ``first + i`` is ``first`` with ``i`` in its low byte and no
+carry.  Its repetition is therefore ``first``'s repetition XOR lane i, and
+the pass is one `find` in the table of a needle: the stream's first bytes
+XOR ``first``'s repetition.  A lane that matches is confirmed with a real
+`encrypt` over the whole block.
 """
 
 from __future__ import annotations
@@ -54,7 +63,13 @@ class LengthMismatchError(ValueError):
 
 
 class KeyLengthOutOfRangeError(ValueError):
-    """Requested search key length outside 1..MAX_SEARCH_KEY_BYTES."""
+    """Requested key length outside 1..MAX_SEARCH_KEY_BYTES for the search,
+    or outside 1..MAX_KEY_BYTES for `recover_key`."""
+
+
+class NoKeyFitsError(ValueError):
+    """No key of the requested length, or of at most MAX_KEY_BYTES bytes,
+    encrypts the plaintext to the ciphertext."""
 
 
 @dataclass(frozen=True)
@@ -160,6 +175,42 @@ def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
     return bits
 
 
+def recover_key(
+    known_plaintext: bytes,
+    ciphertext: bytes,
+    key_len: Optional[int] = None,
+) -> bytes:
+    """The key that encrypts the plaintext to the ciphertext, read off the
+    block's raw keystream with no search.
+
+    With ``key_len``, the key is the stream's first ``key_len`` bytes, and
+    it fits when the stream repeats with that period over the whole block.
+    Without it, the key is the stream's shortest period (`_key_period`): the
+    shortest of the equivalent keys, so key ``5a5a`` comes back as ``5a``.
+    Raises NoKeyFitsError when no such key exists.
+    """
+    n = len(known_plaintext)
+    if n == 0 or n != len(ciphertext):
+        raise LengthMismatchError(
+            "plaintext and ciphertext must be the same non-zero length"
+        )
+    if key_len is not None:
+        if not 1 <= key_len <= MAX_KEY_BYTES:
+            raise KeyLengthOutOfRangeError(f"key_len must be in 1..{MAX_KEY_BYTES}")
+        if n < key_len:
+            raise LengthMismatchError("the block is shorter than the key")
+    raw = _raw_keystream(known_plaintext, ciphertext).to_bytes(n, "big")
+    if key_len is None:
+        key_len = _key_period(raw)
+        if key_len > MAX_KEY_BYTES:
+            raise NoKeyFitsError(
+                f"no key of at most {MAX_KEY_BYTES} bytes fits the block"
+            )
+    elif raw[key_len:] != raw[:-key_len]:
+        raise NoKeyFitsError(f"no key of {key_len} bytes fits the block")
+    return raw[:key_len]
+
+
 def exhaustive_search(
     known_plaintext: bytes,
     ciphertext: bytes,
@@ -170,17 +221,19 @@ def exhaustive_search(
     Returns the lexicographically smallest key that encrypts the plaintext
     to the ciphertext, or None.
 
-    The scan tests SEARCH_LANES consecutive candidates per pass.  Candidate
-    ``first + i`` fills lane i of one integer: the candidate repeated over
-    ``width`` bytes, the whole key periods within the block's first
-    SEARCH_LANE_BYTES (at least one period).  A pass is ``first * step +
-    offsets``, where ``step`` has a 1 in the low byte of every period of
-    every lane and ``offsets`` holds ``i * repunit`` in lane i.  Its bytes
-    hold every lane in candidate order, so the first lane-aligned `find` of
-    the stream's first ``width`` bytes is the smallest candidate whose
-    repetition matches there.  That candidate is confirmed with a real
-    `encrypt` over the whole block; if it fails, the scan goes on after its
-    lane.
+    The scan tests SEARCH_LANES consecutive candidates per pass against one
+    lane table built once per call.  Lane i of the table is ``i * repunit``
+    over ``width`` bytes, the whole key periods within the block's first
+    SEARCH_LANE_BYTES (at least one period), where ``repunit`` has a 1 in the
+    low byte of every period.  A pass starts at ``first``, a multiple of
+    SEARCH_LANES = 256, so ``first``'s low byte is 0 and adding ``i < 256``
+    carries nothing: ``(first + i) * repunit == first * repunit ^ i *
+    repunit``.  Candidate ``first + i`` repeats to the stream's first
+    ``width`` bytes exactly when lane i equals the needle ``target ^ first *
+    repunit``, with ``target`` those stream bytes.  The table holds the lanes
+    in candidate order, so the first lane-aligned `find` of the needle is the
+    smallest such candidate.  It is confirmed with a real `encrypt` over the
+    whole block; if it fails, the scan goes on after its lane.
     """
     if not 1 <= key_length_bytes <= MAX_SEARCH_KEY_BYTES:
         raise KeyLengthOutOfRangeError(
@@ -197,21 +250,19 @@ def exhaustive_search(
     # n >= key length, and every searched key fits SEARCH_LANE_BYTES
     periods = min(n, SEARCH_LANE_BYTES) // key_length_bytes
     width = periods * key_length_bytes
-    head = _raw_keystream(known_plaintext, ciphertext).to_bytes(n, "big")[:width]
+    target = _raw_keystream(known_plaintext, ciphertext) >> (8 * (n - width))
     period = bytes(key_length_bytes - 1) + b"\x01"
     repunit = int.from_bytes(period * periods, "big")
-    step = int.from_bytes(period * (periods * SEARCH_LANES), "big")
     counters = bytearray(width * SEARCH_LANES)
     counters[width - 1::width] = range(SEARCH_LANES)  # i in lane i's low byte
-    offsets = int.from_bytes(counters, "big") * repunit
-    size = len(counters)
+    lanes = (int.from_bytes(counters, "big") * repunit).to_bytes(len(counters), "big")
     for first in range(0, 1 << (8 * key_length_bytes), SEARCH_LANES):
-        lanes = (first * step + offsets).to_bytes(size, "big")
-        at = lanes.find(head)
+        needle = (target ^ first * repunit).to_bytes(width, "big")
+        at = lanes.find(needle)
         while at >= 0:
             if at % width == 0:
                 key = (first + at // width).to_bytes(key_length_bytes, "big")
                 if encrypt(known_plaintext, key) == ciphertext:
                     return key
-            at = lanes.find(head, at - at % width + width)
+            at = lanes.find(needle, at - at % width + width)
     return None

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import exhaustive_search_reference
 
@@ -26,9 +26,11 @@ from wsncrypt.keyspace import (
     AttackModel,
     KeyLengthOutOfRangeError,
     LengthMismatchError,
+    NoKeyFitsError,
     _key_period,
     estimate_brute_force,
     exhaustive_search,
+    recover_key,
     recover_keystream,
 )
 
@@ -247,6 +249,79 @@ def test_one_mib_block_matches_bit_list_definition(pair):
         assert stream[8 * i:8 * (i + step)] == expected
 
 
+# -- recover_key --------------------------------------------------------------------
+
+
+@given(st.data())
+def test_recover_key_returns_the_key_that_encrypts(data):
+    key = data.draw(st.binary(min_size=1, max_size=32), label="key")
+    plaintext = data.draw(st.binary(min_size=len(key), max_size=96), label="plain")
+    ciphertext = encrypt(plaintext, key)
+    found = recover_key(plaintext, ciphertext, len(key))
+    assert found == key
+    assert encrypt(plaintext, found) == ciphertext
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recover_key_equals_exhaustive_search(data):
+    """True ciphertexts and ones with a bit flipped: where the search finds
+    no key, `recover_key` refuses the block."""
+    key_len = data.draw(st.sampled_from((1, 2)), label="key_len")
+    key = data.draw(st.binary(min_size=key_len, max_size=key_len), label="key")
+    plaintext = data.draw(st.binary(min_size=key_len, max_size=40), label="plain")
+    ciphertext = encrypt(plaintext, key)
+    if data.draw(st.booleans(), label="flip"):
+        bit = data.draw(st.integers(0, 8 * len(ciphertext) - 1), label="bit")
+        flipped = int.from_bytes(ciphertext, "big") ^ (1 << bit)
+        ciphertext = flipped.to_bytes(len(ciphertext), "big")
+    found = exhaustive_search(plaintext, ciphertext, key_len)
+    if found is None:
+        with pytest.raises(NoKeyFitsError):
+            recover_key(plaintext, ciphertext, key_len)
+    else:
+        assert recover_key(plaintext, ciphertext, key_len) == found
+
+
+def test_recover_key_without_length_gives_the_shortest_equivalent_key():
+    rng = random.Random(0x5A)
+    for key_len in (1, 2, 8, 32):
+        key = b"\x5a" * key_len
+        plaintext = rng.randbytes(40)
+        ciphertext = encrypt(plaintext, key)
+        assert recover_key(plaintext, ciphertext) == b"\x5a"
+        assert recover_key(plaintext, ciphertext, key_len) == key
+    key = bytes.fromhex("a1b2c3")
+    plaintext = rng.randbytes(40)
+    assert recover_key(plaintext, encrypt(plaintext, key)) == key
+
+
+def test_recover_key_refuses_a_block_no_key_fits():
+    rng = random.Random(17)
+    plaintext = rng.randbytes(40)
+    ciphertext = bytearray(encrypt(plaintext, bytes.fromhex("a1b2c3")))
+    ciphertext[39] ^= 1  # past the first period, so only the full check sees it
+    ciphertext = bytes(ciphertext)
+    with pytest.raises(NoKeyFitsError, match="no key of 3 bytes"):
+        recover_key(plaintext, ciphertext, 3)
+    # the stream's shortest period is now the whole 40-byte block
+    with pytest.raises(NoKeyFitsError, match="at most 32 bytes"):
+        recover_key(plaintext, ciphertext)
+    assert issubclass(NoKeyFitsError, ValueError)
+
+
+def test_recover_key_validation():
+    with pytest.raises(LengthMismatchError):
+        recover_key(b"", b"", 1)
+    with pytest.raises(LengthMismatchError):
+        recover_key(b"abc", b"ab")
+    with pytest.raises(LengthMismatchError):
+        recover_key(b"ab", b"ab", 3)  # the block is shorter than the key
+    for key_len in (0, 33):
+        with pytest.raises(KeyLengthOutOfRangeError):
+            recover_key(b"a" * 40, b"a" * 40, key_len)
+
+
 # -- exhaustive_search ------------------------------------------------------------
 
 
@@ -318,6 +393,20 @@ def test_search_equals_reference_scan_3_byte_keys(key, plaintext):
     found = exhaustive_search(plaintext, ciphertext, 3)
     assert found == exhaustive_search_reference(plaintext, ciphertext, 3, encrypt)
     assert found == key
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.binary(min_size=3, max_size=3), st.binary(min_size=3, max_size=40))
+@example(bytes.fromhex("800000"), bytes(range(16)))
+@example(bytes.fromhex("ffffff"), bytes(3))
+def test_search_finds_any_3_byte_key(key, plaintext):
+    """The whole 3-byte key space, high bytes of 0x80 and up included:
+    `binary` draws each key byte across 0..255, unlike `integers`, which
+    favours small keys."""
+    ciphertext = encrypt(plaintext, key)
+    found = exhaustive_search(plaintext, ciphertext, 3)
+    assert found == key
+    assert decrypt(ciphertext, found) == plaintext
 
 
 @settings(max_examples=40, deadline=None)
