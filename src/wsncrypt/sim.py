@@ -173,24 +173,28 @@ def _cohort_sensor(
 
     Every value word of every sensor gets its own 128-bit lane of one
     integer, so a firing runs `sense`'s two mixes over all the words at once
-    (`rng.mix64_lanes`), makes one `to_bytes`, and cuts each value out at a
-    fixed offset.
+    (`rng.mix64_lanes`), makes one `to_bytes`, and cuts every value out of it
+    with one `struct.Struct`.
     """
-    members = []
+    ids = tuple(node_id for node_id, _ in sensors)
+    kinds = tuple(kind for _, kind in sensors)
     stream_ids: List[int] = []  # per word, its sensor's (node_id << 32)
     steps: List[int] = []  # per word, derive_bytes's i * GOLDEN
+    layout = []  # per sensor, its value, then the rest of its last word
     for node_id, kind in sensors:
-        start = 8 * len(steps)
-        members.append((node_id, kind, start, start + VALUE_LENGTHS[kind]))
         kind_steps = _WORD_STEPS[kind]
         stream_ids += [node_id << 32] * len(kind_steps)
         steps += kind_steps
+        length = VALUE_LENGTHS[kind]
+        layout.append(f"{length}s{8 * len(kind_steps) - length}x")
+    values = struct.Struct(">" + "".join(layout)).unpack
     ones = _lanes([1] * len(steps))
     base, golden = _lanes(stream_ids), _lanes(steps)
     mask = ones * rng.MASK64
     seeds = _mixed_seed(seed) * ones
     size = 16 * len(steps)
     new = tuple.__new__  # builds the same tuple as SensorReading(...), faster
+    repeat = itertools.repeat
 
     def at(tick: int) -> List[SensorReading]:
         # each lane's stream seed, then its derive_bytes word
@@ -198,7 +202,9 @@ def _cohort_sensor(
         x = rng.mix64_lanes(x + golden, mask)
         # big-endian, each lane's empty high half comes first: drop them
         stream = memoryview(x.to_bytes(size, "big")).cast("Q")[1::2].tobytes()
-        return [new(SensorReading, (n, tick, k, stream[a:b])) for n, k, a, b in members]
+        return list(map(
+            new, repeat(SensorReading), zip(ids, repeat(tick), kinds, values(stream))
+        ))
 
     return at
 
@@ -411,8 +417,11 @@ def run_simulation(config: SimConfig) -> SimReport:
             tick, _, hub_id = event
             batch = hub_inbox.pop(hub_id)
             # the inbox holds one tick; each cohort that fired on it arrived
-            # in id order, but the cohorts did not, so carried needs the sort
-            batch.sort(key=_NODE_THEN_TIME)
+            # in id order, but the cohorts did not, so carried needs the sort.
+            # A sensor has one hub and fires at most once a tick, so the
+            # node ids here are unique: tuple order is _NODE_THEN_TIME order,
+            # every comparison ends at node_id, and no key is needed
+            batch.sort()
             heapq.heapreplace(events, (
                 tick + transit[hub_id], TRANSMIT, topology.routes[hub_id][-1],
                 next(ordinals), encode_readings(batch), tuple(batch),

@@ -96,9 +96,10 @@ class ReadingKind(IntEnum):
     VIDEO = 2
 
 
-# a tuple, not a set: membership of an unhashable kind is False, not TypeError;
-# kind codes run 0, 1, 2, so a code in range is also its index here
+# a tuple, not a set: membership of an unhashable kind is False, not TypeError
 _KINDS = tuple(ReadingKind)
+# indexed by kind byte: its ReadingKind, or None for an undefined code
+_KIND_OF_BYTE = _KINDS + (None,) * (256 - len(_KINDS))
 
 # one reading record's fixed part
 _RECORD_FIELDS = {"node_id": "H", "timestamp": "I", "kind": "B", "value_length": "B"}
@@ -194,9 +195,11 @@ def decode_frame(data: bytes) -> Frame:
         )
     if len(data) > expected:
         raise TrailingBytesError(f"{len(data) - expected} bytes after frame")
-    if xor_fold(data[:-1]) != data[-1]:
+    # the fold of the whole frame is the sent checksum XOR the computed one
+    fold = xor_fold(data)
+    if fold:
         raise ChecksumMismatchError(
-            f"checksum {data[-1]:#04x} != computed {xor_fold(data[:-1]):#04x}"
+            f"checksum {data[-1]:#04x} != computed {fold ^ data[-1]:#04x}"
         )
     payload = data[HEADER_LEN : HEADER_LEN + payload_len]
     return Frame(sink_id=sink_id, sequence=sequence, payload=payload)
@@ -204,50 +207,53 @@ def decode_frame(data: bytes) -> Frame:
 
 def encode_readings(readings: Sequence[SensorReading]) -> bytes:
     try:
-        out = bytearray(_COUNT.pack(len(readings)))
+        parts = [_COUNT.pack(len(readings))]
     except struct.error:
         raise TooManyReadingsError(
             f"{len(readings)} readings exceed the u16 batch count"
         ) from None
-    pack = _RECORD.pack
+    append, pack, kinds = parts.append, _RECORD.pack, _KINDS
     for node_id, timestamp, kind, value in readings:
-        if kind not in _KINDS:
+        if kind not in kinds:
             raise ValueError(
                 f"reading kind ({type(kind).__name__}) is not a ReadingKind"
             )
         try:
-            out += pack(node_id, timestamp, kind, len(value))
+            append(pack(node_id, timestamp, kind, len(value)))
         except struct.error:
             record = (node_id, timestamp, kind, len(value))
             raise ValueError(
                 f"reading does not fit its record: {_misfit(_RECORD_FIELDS, record)}"
             ) from None
-        out += value
-    return bytes(out)
+        append(value)
+    return b"".join(parts)
 
 
 def decode_readings(data: bytes) -> List[SensorReading]:
     """Inverse of `encode_readings`; rejects trailing garbage."""
-    if len(data) < _COUNT.size:
+    end = len(data)
+    if end < COUNT_LEN:
         raise TruncatedError("batch shorter than its count field")
     (count,) = _COUNT.unpack_from(data)
-    end = len(data)
-    pos = _COUNT.size
-    readings = []
-    unpack_from = _RECORD.unpack_from
+    readings: List[SensorReading] = []
+    # the per-record loop reads only locals
+    append, unpack_from, kinds = readings.append, _RECORD.unpack_from, _KIND_OF_BYTE
+    new, reading = tuple.__new__, SensorReading  # as SensorReading(...), faster
+    size = RECORD_HEADER_LEN
+    last_header = end - size  # the last offset a record header fits at
+    pos = COUNT_LEN
     for _ in range(count):
-        if end - pos < _RECORD.size:
+        if pos > last_header:
             raise TruncatedError("record header runs past end of batch")
         node_id, timestamp, kind_code, value_len = unpack_from(data, pos)
-        pos += _RECORD.size
-        if kind_code >= len(_KINDS):
+        pos += size
+        kind = kinds[kind_code]
+        if kind is None:
             raise BadKindError(f"kind byte {kind_code} is not defined")
         value_end = pos + value_len
         if value_end > end:
             raise TruncatedError("record value runs past end of batch")
-        readings.append(
-            SensorReading(node_id, timestamp, _KINDS[kind_code], data[pos:value_end])
-        )
+        append(new(reading, (node_id, timestamp, kind, data[pos:value_end])))
         pos = value_end
     if pos != end:
         raise TrailingBytesError(f"{end - pos} bytes after batch")

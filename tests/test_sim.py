@@ -2,13 +2,15 @@ import copy
 import dataclasses
 import json
 import runpy
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sim_reference import ref_run_simulation
 
+from wsncrypt import sim
 from wsncrypt.cipher import encrypt
 from wsncrypt.sim import (
     VALUE_LENGTHS,
@@ -511,6 +513,47 @@ def test_cohorts_merged_on_one_tick_flush_in_id_order():
     assert report == ref_run_simulation(config)
 
 
+@given(st.lists(st.integers(1, 4), min_size=6, max_size=6))
+@example([2, 3, 2, 3, 2, 3])  # the config of the test above
+@settings(max_examples=25, deadline=None)
+def test_flush_encodes_each_batch_in_node_then_time_order(periods):
+    """Whichever of the hub's cohorts fire on a tick, the batch it flushes
+    reaches encode_readings sorted by (node_id, timestamp)."""
+    kinds = [ReadingKind.SCALAR, ReadingKind.VIDEO, ReadingKind.AUDIO] * 2
+    sensors = [
+        NodeSpec(sensor, "sensor", kind, period)
+        for sensor, (kind, period) in enumerate(zip(kinds, periods), start=1)
+    ]
+    keys = {30: b"\x5a\x0f\xc3"}
+    config = SimConfig(
+        topology=Topology(
+            nodes=(*sensors, NodeSpec(10, "hub"), NodeSpec(30, "sink"),
+                   NodeSpec(99, "fusion_center")),
+            edges=(*((s.id, 10) for s in sensors), (10, 30), (30, 99)),
+            routes={10: (10, 30), 30: (30, 99)},
+        ),
+        sink_keys=keys,
+        registry=dict(keys),
+        seed=7,
+        duration_ticks=12,
+        sense_period_ticks=1,
+        hop_latency_ticks=1,
+    )
+    batches = []
+
+    def recording(batch):
+        batches.append(list(batch))
+        return encode_readings(batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "encode_readings", recording)
+        report = run_simulation(config)
+    assert report.fidelity_ok
+    assert len(batches) == report.frames_sent
+    for batch in batches:
+        assert batch == sorted(batch, key=attrgetter("node_id", "timestamp"))
+
+
 # (period, hop latency, duration): hundreds of arrival ticks in flight at
 # once; at latency 50 a sink-bound and a fusion-bound batch share most ticks
 @pytest.mark.parametrize("period, latency, duration",
@@ -985,3 +1028,35 @@ def test_run_demo_sim_script(capsys):
     clean_report = json.loads(clean.removeprefix("clean run:\n"))
     assert json.dumps(clean_report) == DEMO_REPORT
     assert json.loads(corrupted)["frames_rejected"] == {"checksum_mismatch": 1}
+
+
+def test_run_demo_sim_script_passes_its_own_checks(capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "run_demo_sim.py"))
+    assert script["main"]() == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("spoiled_run, spoil", [
+    (0, lambda report: dataclasses.replace(report, fidelity_ok=False)),
+    (0, lambda report: dataclasses.replace(report, frames_rejected={"truncated": 1})),
+    (0, lambda report: dataclasses.replace(
+        report, readings_recovered=report.readings_recovered - 1)),
+    (1, lambda report: dataclasses.replace(report, frames_rejected={})),
+    (1, lambda report: dataclasses.replace(
+        report, frames_rejected={"checksum_mismatch": 1, "truncated": 1})),
+])
+def test_run_demo_sim_script_fails_on_a_wrong_report(
+    spoiled_run, spoil, monkeypatch, capsys
+):
+    main = runpy.run_path(str(ROOT / "scripts" / "run_demo_sim.py"))["main"]
+    runs = []
+
+    def spoiling(config):
+        runs.append(config)
+        report = run_simulation(config)
+        return spoil(report) if len(runs) - 1 == spoiled_run else report
+
+    monkeypatch.setitem(main.__globals__, "run_simulation", spoiling)
+    assert main() == 1
+    assert len(runs) == 2
+    assert capsys.readouterr().err.startswith("run_demo_sim: ")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from wire_reference import ref_decode_readings, ref_encode_readings
 
 from wsncrypt.wire import (
     MAX_PAYLOAD,
@@ -120,6 +121,15 @@ def test_decode_checksum_mismatch():
     encoded[11] ^= 0x01  # payload bit flip
     with pytest.raises(ChecksumMismatchError):
         decode_frame(bytes(encoded))
+
+
+def test_checksum_mismatch_message():
+    # sink 0x0102, sequence 3, no payload: the header folds to 0xfe
+    encoded = bytes.fromhex("a55a0101020000000300005a")
+    with pytest.raises(ChecksumMismatchError) as caught:
+        decode_frame(encoded)
+    assert str(caught.value) == "checksum 0x5a != computed 0xfe"
+    assert decode_frame(encoded[:-1] + b"\xfe") == Frame(sink_id=0x0102, sequence=3)
 
 
 def test_decode_trailing_bytes():
@@ -377,3 +387,63 @@ def test_encode_readings_names_the_field_of_a_huge_int():
         encode_readings([SensorReading(0, huge, ReadingKind.SCALAR, b"")])
     with pytest.raises(ValueError, match=r"^reading kind \(int\) is not a "):
         encode_readings([SensorReading(0, 0, huge, b"")])
+
+
+# -- against the reference codecs -----------------------------------------------------
+
+
+def typed(value):
+    """`value` with the type of every element spelled out, so that equal
+    outcomes also have equal types (a ReadingKind, not its int)."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(item) for item in value]
+    return type(value), value
+
+
+def same_outcome(function, reference, arg):
+    """Both return equal values of equal types, or raise the same exception
+    class with the same message."""
+    outcomes = []
+    for call in (function, reference):
+        try:
+            outcomes.append(typed(call(arg)))
+        except Exception as exc:  # the class and message are what is compared
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+@given(
+    st.binary(max_size=80)
+    | damaged(st.lists(readings, max_size=8).map(encode_readings))
+    | st.lists(readings, max_size=8).map(encode_readings)
+)
+def test_decode_readings_matches_reference(data):
+    same_outcome(decode_readings, ref_decode_readings, data)
+    same_outcome(decode_readings, ref_decode_readings, bytearray(data))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            around(0, 0xFFFF),
+            around(0, 0xFFFFFFFF),
+            st.sampled_from(ReadingKind) | st.integers(-1, 3) | st.floats(),
+            lengths_around(255)
+            | st.binary(max_size=3).map(bytearray)
+            | st.integers(),
+        ).map(lambda fields: SensorReading(*fields))
+        | st.lists(st.integers(0, 3), max_size=5).map(tuple),
+        max_size=4,
+    )
+    | st.lists(readings, max_size=8)
+)
+def test_encode_readings_matches_reference(batch):
+    same_outcome(encode_readings, ref_encode_readings, batch)
+
+
+def test_codecs_match_reference_at_the_count_limit():
+    reading = SensorReading(0, 0, ReadingKind.SCALAR, b"")
+    for count in (0xFFFF, 0x10000):
+        same_outcome(encode_readings, ref_encode_readings, [reading] * count)
+    same_outcome(decode_readings, ref_decode_readings,
+                 encode_readings([reading] * 0xFFFF))
