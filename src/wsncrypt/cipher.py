@@ -40,6 +40,9 @@ MAX_KEY_BYTES = 32
 # Swap bit pairs (0,1), (2,3), (4,5), (6,7) of the MSB-first bit order.
 _SWAP_TABLE = bytes(((b & 0x55) << 1) | ((b & 0xAA) >> 1) for b in range(256))
 
+# Each byte's 8 bits, MSB first, one bit value per byte.
+_BITS = tuple(bytes((b >> shift) & 1 for shift in range(7, -1, -1)) for b in range(256))
+
 # Measured crossover: from here up the per-key-byte tables beat the
 # big-integer path for every key length 1..32.
 _BULK = 32 * 1024
@@ -78,11 +81,7 @@ def _check_key(key: bytes) -> None:
 
 def bytes_to_bits(data: bytes) -> List[int]:
     """Expand bytes into a flat bit list, MSB first within each byte."""
-    bits = []
-    for byte in data:
-        for shift in range(7, -1, -1):
-            bits.append((byte >> shift) & 1)
-    return bits
+    return list(b"".join(map(_BITS.__getitem__, data)))
 
 
 def bits_to_bytes(bits: Sequence[int]) -> bytes:

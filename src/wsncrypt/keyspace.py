@@ -7,10 +7,8 @@ is: one plaintext/ciphertext pair algebraically yields the full keystream,
 and short keys fall to an exhaustive scan.
 
 That keystream is a key of at most MAX_KEY_BYTES bytes repeated over the
-block, so it has a period of at most MAX_KEY_BYTES.  `_key_period` finds the
-shortest such period with one bounded `find` that proposes candidates and a
-whole-block compare that confirms each one, and `recover_keystream` expands
-only that one period to bits and repeats the list.
+block, so it has a period of at most MAX_KEY_BYTES (`_key_period`), and
+`recover_keystream` expands only that one period to bits.
 
 `recover_key` reads the key itself off the first period of that stream:
 one known block at least as long as the key leaves exactly one key of that
@@ -18,17 +16,7 @@ length, so the effective keyspace of a known-plaintext attack is 1, whatever
 the nominal 2**(8 * L).
 
 `exhaustive_search` is the brute-force rate meter, so it scans the way a
-careful attacker would: many candidates per machine operation.  The block's
-raw keystream (`_raw_keystream`, as for `recover_keystream`) is worked out
-once per call, and so is one constant lane table: SEARCH_LANES lanes, lane
-i holding the key-length integer ``i`` repeated over the whole key periods
-in the block's first SEARCH_LANE_BYTES bytes.  A pass covers the
-SEARCH_LANES candidates from ``first``, a multiple of SEARCH_LANES, so
-candidate ``first + i`` is ``first`` with ``i`` in its low byte and no
-carry.  Its repetition is therefore ``first``'s repetition XOR lane i, and
-the pass is one `find` in the table of a needle: the stream's first bytes
-XOR ``first``'s repetition.  A lane that matches is confirmed with a real
-`encrypt` over the whole block.
+careful attacker would: many candidates per machine operation.
 """
 
 from __future__ import annotations
@@ -37,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .cipher import _SWAP_NOT_TABLE, MAX_KEY_BYTES, encrypt
+from .cipher import _SWAP_NOT_TABLE, MAX_KEY_BYTES, bytes_to_bits, encrypt
 
 SECONDS_PER_YEAR = 86400 * 365
 
@@ -53,9 +41,6 @@ SEARCH_LANES = 256
 # A lane repeats its candidate over the whole key periods within this many
 # leading bytes of the block; the confirming `encrypt` checks the rest.
 SEARCH_LANE_BYTES = 16
-
-# ASCII binary digits -> bit values
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class LengthMismatchError(ValueError):
@@ -116,15 +101,21 @@ def estimate_brute_force(model: AttackModel) -> BruteForceEstimate:
     )
 
 
-def _raw_keystream(known_plaintext: bytes, ciphertext: bytes) -> int:
-    """The raw key, cyclically repeated over the block, as one integer.
+def _raw_keystream(known_plaintext: bytes, ciphertext: bytes) -> bytes:
+    """The raw key, cyclically repeated over the block.
 
     Decryption maps byte j to ``SWAP_NOT[c_j] ^ k_(j mod L)``, so SWAP_NOT
     of the ciphertext XOR the plaintext is the key stream: any key whose
-    repetition equals it encrypts the plaintext to the ciphertext.
+    repetition equals it encrypts the plaintext to the ciphertext.  Raises
+    LengthMismatchError unless the two have the same non-zero length.
     """
-    undone = ciphertext.translate(_SWAP_NOT_TABLE)
-    return int.from_bytes(undone, "big") ^ int.from_bytes(known_plaintext, "big")
+    n = len(known_plaintext)
+    if n == 0 or n != len(ciphertext):
+        raise LengthMismatchError(
+            "plaintext and ciphertext must be the same non-zero length"
+        )
+    undone = int.from_bytes(ciphertext.translate(_SWAP_NOT_TABLE), "big")
+    return (undone ^ int.from_bytes(known_plaintext, "big")).to_bytes(n, "big")
 
 
 def _key_period(raw: bytes) -> int:
@@ -159,16 +150,10 @@ def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
     such as a ciphertext not made from the plaintext, has the whole block
     as its period and is expanded in full.
     """
-    if len(known_plaintext) == 0 or len(known_plaintext) != len(ciphertext):
-        raise LengthMismatchError(
-            "plaintext and ciphertext must be the same non-zero length"
-        )
-    n = len(ciphertext)
-    raw = _raw_keystream(known_plaintext, ciphertext).to_bytes(n, "big")
+    raw = _raw_keystream(known_plaintext, ciphertext)
+    n = len(raw)
     period = _key_period(raw)
-    # zero-padded binary digits are the bits MSB first
-    digits = format(int.from_bytes(raw[:period], "big"), f"0{8 * period}b")
-    bits = list(digits.encode().translate(_DIGIT_BITS))
+    bits = bytes_to_bits(raw[:period])
     # in place: a trimmed copy of the block's list costs more than it saves
     bits *= -(-n // period)
     del bits[8 * n:]
@@ -189,25 +174,20 @@ def recover_key(
     shortest of the equivalent keys, so key ``5a5a`` comes back as ``5a``.
     Raises NoKeyFitsError when no such key exists.
     """
-    n = len(known_plaintext)
-    if n == 0 or n != len(ciphertext):
-        raise LengthMismatchError(
-            "plaintext and ciphertext must be the same non-zero length"
-        )
-    if key_len is not None:
-        if not 1 <= key_len <= MAX_KEY_BYTES:
-            raise KeyLengthOutOfRangeError(f"key_len must be in 1..{MAX_KEY_BYTES}")
-        if n < key_len:
-            raise LengthMismatchError("the block is shorter than the key")
-    raw = _raw_keystream(known_plaintext, ciphertext).to_bytes(n, "big")
+    raw = _raw_keystream(known_plaintext, ciphertext)
     if key_len is None:
         key_len = _key_period(raw)
         if key_len > MAX_KEY_BYTES:
             raise NoKeyFitsError(
                 f"no key of at most {MAX_KEY_BYTES} bytes fits the block"
             )
-    elif raw[key_len:] != raw[:-key_len]:
-        raise NoKeyFitsError(f"no key of {key_len} bytes fits the block")
+    else:
+        if not 1 <= key_len <= MAX_KEY_BYTES:
+            raise KeyLengthOutOfRangeError(f"key_len must be in 1..{MAX_KEY_BYTES}")
+        if len(raw) < key_len:
+            raise LengthMismatchError("the block is shorter than the key")
+        if raw[key_len:] != raw[:-key_len]:
+            raise NoKeyFitsError(f"no key of {key_len} bytes fits the block")
     return raw[:key_len]
 
 
@@ -250,7 +230,9 @@ def exhaustive_search(
     # n >= key length, and every searched key fits SEARCH_LANE_BYTES
     periods = min(n, SEARCH_LANE_BYTES) // key_length_bytes
     width = periods * key_length_bytes
-    target = _raw_keystream(known_plaintext, ciphertext) >> (8 * (n - width))
+    target = int.from_bytes(
+        _raw_keystream(known_plaintext[:width], ciphertext[:width]), "big"
+    )
     period = bytes(key_length_bytes - 1) + b"\x01"
     repunit = int.from_bytes(period * periods, "big")
     counters = bytearray(width * SEARCH_LANES)

@@ -36,7 +36,6 @@ Configs load from JSON; see `config_from_dict` for the exact field names.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import json
@@ -160,7 +159,7 @@ def sense(node_id: int, kind: ReadingKind, tick: int, seed: int) -> SensorReadin
     Value bytes come from the documented multiply-xor-shift mixer; length
     is fixed per kind (scalar 2, audio 16, video 32).
     """
-    stream_seed = _mixed_seed(seed) ^ rng.mix64((node_id << 32) | (tick & 0xFFFFFFFF))
+    stream_seed = rng.mix64(seed) ^ rng.mix64((node_id << 32) | (tick & 0xFFFFFFFF))
     value = rng.derive_bytes(stream_seed, VALUE_LENGTHS[kind])
     return SensorReading(node_id, tick, kind, value)
 
@@ -191,7 +190,7 @@ def _cohort_sensor(
     ones = _lanes([1] * len(steps))
     base, golden = _lanes(stream_ids), _lanes(steps)
     mask = ones * rng.MASK64
-    seeds = _mixed_seed(seed) * ones
+    seeds = rng.mix64(seed) * ones
     size = 16 * len(steps)
     new = tuple.__new__  # builds the same tuple as SensorReading(...), faster
     repeat = itertools.repeat
@@ -214,13 +213,6 @@ def _lanes(words: Sequence[int]) -> int:
     the highest lane."""
     # per lane, big-endian: 8 zero bytes, then the word
     return int.from_bytes(struct.pack(">" + "8xQ" * len(words), *words), "big")
-
-
-# a run senses every reading under one seed, so one entry saves all but the
-# first of its mixes
-@functools.lru_cache(maxsize=1)
-def _mixed_seed(seed: int) -> int:
-    return rng.mix64(seed)
 
 
 # the key, not the whole reading: equal (node_id, timestamp) pairs keep
@@ -375,7 +367,8 @@ def run_simulation(config: SimConfig) -> SimReport:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
     hub_inbox: Dict[int, List[SensorReading]] = {}
     # numbers batches in flush order: it breaks ties between one sink's
-    # events of one tick, and ends every comparison before the bytes
+    # events of one tick, and ends every comparison before the bytes and
+    # the carried batch list
     ordinals = itertools.count()
 
     report = SimReport(
@@ -424,7 +417,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             batch.sort()
             heapq.heapreplace(events, (
                 tick + transit[hub_id], TRANSMIT, topology.routes[hub_id][-1],
-                next(ordinals), encode_readings(batch), tuple(batch),
+                next(ordinals), encode_readings(batch), batch,
             ))
         elif stage == TRANSMIT:
             tick, _, sink_id, ordinal, payload, carried = event
@@ -457,7 +450,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 report.per_sink[origin_sink].frames_rejected += 1
                 report.fidelity_ok = False
             else:
-                if tuple(readings) != carried:
+                if readings != carried:
                     report.fidelity_ok = False
                 report.readings_recovered += len(readings)
                 report.per_sink[origin_sink].readings_recovered += len(readings)

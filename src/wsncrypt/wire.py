@@ -157,20 +157,29 @@ def _misfit(fields: dict, values: Sequence) -> str:
     raise AssertionError("struct refused a layout whose every field fits")
 
 
-def encode_frame(frame: Frame) -> bytes:
-    sink_id, sequence, payload = frame.sink_id, frame.sequence, frame.payload
-    if len(payload) > MAX_PAYLOAD:
-        raise PayloadTooLargeError(
-            f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}"
-        )
+def _bytes_like_len(what: str, value: object) -> int:
+    """``len(value)`` of a bytes-like value, else a ValueError that names
+    its type; the value itself is never formatted, as for `_misfit`."""
     try:
-        body = _HEADER.pack(MAGIC, VERSION, sink_id, sequence, len(payload))
+        return len(memoryview(value))
+    except TypeError:
+        raise ValueError(f"{what} ({type(value).__name__}) is not bytes-like") from None
+
+
+def encode_frame(frame: Frame) -> bytes:
+    size = _bytes_like_len("frame payload", frame.payload)
+    if size > MAX_PAYLOAD:
+        raise PayloadTooLargeError(
+            f"payload of {size} bytes exceeds {MAX_PAYLOAD}"
+        )
+    header = (MAGIC, VERSION, frame.sink_id, frame.sequence, size)
+    try:
+        body = _HEADER.pack(*header)
     except struct.error:
-        header = (MAGIC, VERSION, sink_id, sequence, len(payload))
         raise ValueError(
             f"frame header does not fit: {_misfit(_HEADER_FIELDS, header)}"
         ) from None
-    body += payload
+    body += frame.payload
     return body + bytes([xor_fold(body)])
 
 
@@ -220,13 +229,18 @@ def encode_readings(readings: Sequence[SensorReading]) -> bytes:
             )
         try:
             append(pack(node_id, timestamp, kind, len(value)))
-        except struct.error:
-            record = (node_id, timestamp, kind, len(value))
+        except (struct.error, TypeError):  # TypeError: a value with no len()
+            record = (node_id, timestamp, kind, _bytes_like_len("reading value", value))
             raise ValueError(
                 f"reading does not fit its record: {_misfit(_RECORD_FIELDS, record)}"
             ) from None
         append(value)
-    return b"".join(parts)
+    try:
+        return b"".join(parts)
+    except TypeError:  # a value with a length but no bytes, such as a str
+        for value in parts[2::2]:
+            _bytes_like_len("reading value", value)
+        raise
 
 
 def decode_readings(data: bytes) -> List[SensorReading]:

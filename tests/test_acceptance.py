@@ -11,8 +11,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 import wsncrypt.cli as cli
 from wsncrypt.cipher import (
     adjacent_swap,
@@ -157,21 +155,21 @@ def test_criterion_06_involution_and_collapse():
     # one pass per key over the concatenation of every 2-byte plaintext;
     # the keystream of a 1-byte key has byte period 1, so block i of the
     # big ciphertext is exactly encrypt(block_i, key)
-    all_pairs = np.arange(65536, dtype=">u2").tobytes()
-    m = np.frombuffer(all_pairs, dtype=np.uint8)
-    swap_table = np.array(
-        [bits_to_bytes(ref_swap(bytes_to_bits(bytes([b]))))[0] for b in range(256)],
-        dtype=np.uint8,
+    all_pairs = b"".join(i.to_bytes(2, "big") for i in range(65536))
+    swap_table = bytes(
+        bits_to_bytes(ref_swap(bytes_to_bits(bytes([b]))))[0] for b in range(256)
     )
     block_sample = rng.sample(range(65536), 64)
     for k in range(256):
         key = bytes([k])
-        got = np.frombuffer(encrypt(all_pairs, key), dtype=np.uint8)
-        collapsed = swap_table[(m ^ k) ^ 0xFF]
-        assert np.array_equal(got, collapsed)
+        got = encrypt(all_pairs, key)
+        collapsed = all_pairs.translate(
+            bytes(swap_table[b ^ k ^ 0xFF] for b in range(256))
+        )
+        assert got == collapsed
         for i in block_sample:  # concatenation trick spot-check
             block = all_pairs[2 * i : 2 * i + 2]
-            assert encrypt(block, key) == got.tobytes()[2 * i : 2 * i + 2]
+            assert encrypt(block, key) == got[2 * i : 2 * i + 2]
         for byte in range(256):  # 1-byte plaintexts, individually
             assert encrypt(bytes([byte]), key) == bytes(
                 [swap_table[(byte ^ k) ^ 0xFF]]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsncrypt.cipher import (
@@ -18,7 +18,7 @@ from wsncrypt.cipher import (
     key_directed_xor,
 )
 
-from reference import ref_decrypt, ref_encrypt
+from reference import ref_bytes_to_bits, ref_decrypt, ref_encrypt
 
 keys = st.binary(min_size=1, max_size=32)
 bitstreams = st.lists(st.integers(0, 1), max_size=200)
@@ -45,6 +45,19 @@ def test_bytes_to_bits_length_and_order():
     assert len(out) == 16
     assert out[0] == 1 and out[15] == 1
     assert sum(out) == 2
+
+
+@given(st.binary(max_size=256))
+@example(b"")
+def test_bytes_to_bits_matches_reference(data):
+    assert bytes_to_bits(data) == ref_bytes_to_bits(data)
+
+
+def test_bytes_to_bits_every_single_byte():
+    for byte in range(256):
+        bits = bytes_to_bits(bytes([byte]))
+        assert type(bits) is list
+        assert bits == ref_bytes_to_bits(bytes([byte]))
 
 
 def test_bits_to_bytes_golden():

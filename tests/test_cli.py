@@ -145,6 +145,32 @@ def _payload(size):
     return random.Random(size).randbytes(size)
 
 
+# -- the runtime is stdlib-only -----------------------------------------------------
+
+# the modules before and after the import, so that what the interpreter and
+# an editable install's finder load at start-up is not counted
+_NEW_MODULES = """
+import json, sys
+before = set(sys.modules)
+import wsncrypt, wsncrypt.cli, wsncrypt.sim, wsncrypt.keyspace
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    done = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES],
+        capture_output=True, text=True, env=_child_env(), check=True,
+    )
+    new = json.loads(done.stdout)
+    assert "wsncrypt.keyspace" in new
+    third_party = [
+        name for name in new
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"wsncrypt"}
+    ]
+    assert third_party == []
+
+
 def _step(key):
     """The chunk the CLI ciphers at a time under `key`."""
     return cli._CHUNK - cli._CHUNK % len(key)

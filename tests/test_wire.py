@@ -389,6 +389,31 @@ def test_encode_readings_names_the_field_of_a_huge_int():
         encode_readings([SensorReading(0, 0, huge, b"")])
 
 
+@pytest.mark.parametrize("value", ["ab", [1, 2], 5, None])
+def test_encoders_refuse_a_value_that_is_not_bytes_like(value):
+    # ValueError naming the type, before or after a good record
+    good = SensorReading(1, 1, ReadingKind.SCALAR, b"\x01\x02")
+    bad = SensorReading(2, 2, ReadingKind.SCALAR, value)
+    message = rf"^reading value \({type(value).__name__}\) is not bytes-like$"
+    for batch in ([bad], [good, bad], [bad, good]):
+        with pytest.raises(ValueError, match=message) as caught:
+            encode_readings(batch)
+        assert type(caught.value) is ValueError
+    with pytest.raises(ValueError, match=r"^frame payload \(str\) is not bytes-like$"):
+        encode_frame(Frame(sink_id=1, sequence=0, payload="ab"))
+    with pytest.raises(ValueError, match=r"^frame payload \(int\) is not bytes-like$"):
+        encode_frame(Frame(sink_id=1, sequence=0, payload=5))
+
+
+@pytest.mark.parametrize("value", [b"\x01\x02", bytearray(b"\x01\x02"),
+                                   memoryview(b"\x01\x02")])
+def test_encoders_take_every_bytes_like_value(value):
+    want = encode_readings([SensorReading(1, 1, ReadingKind.SCALAR, b"\x01\x02")])
+    assert encode_readings([SensorReading(1, 1, ReadingKind.SCALAR, value)]) == want
+    frame = encode_frame(Frame(sink_id=1, sequence=0, payload=value))
+    assert frame == encode_frame(Frame(sink_id=1, sequence=0, payload=b"\x01\x02"))
+
+
 # -- against the reference codecs -----------------------------------------------------
 
 

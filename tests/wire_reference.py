@@ -40,6 +40,12 @@ def ref_encode_readings(readings):
                 f"reading kind ({type(kind).__name__}) is not a ReadingKind"
             )
         try:
+            memoryview(value)
+        except TypeError:
+            raise ValueError(
+                f"reading value ({type(value).__name__}) is not bytes-like"
+            ) from None
+        try:
             out += pack(node_id, timestamp, kind, len(value))
         except struct.error:
             record = (node_id, timestamp, kind, len(value))
