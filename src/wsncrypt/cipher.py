@@ -135,7 +135,8 @@ def _swap_not_xor(data: bytes, stream_key: bytes) -> bytes:
     if n >= _BULK:
         step = len(stream_key)
         if step == 1:
-            return data.translate(_TABLES[stream_key[0]])
+            # translate keeps a bytearray's type; bytes() of a bytes is itself
+            return bytes(data.translate(_TABLES[stream_key[0]]))
         out = bytearray(n)
         for i, k in enumerate(stream_key):
             out[i::step] = data[i::step].translate(_TABLES[k])

@@ -276,11 +276,13 @@ def cmd_vectors(_args: argparse.Namespace) -> int:
             failures.append(f"{where}: got {got!r}, want {want!r}")
 
     key = bytes([_KEY_BYTE])
-    key_bits, key_shuffled = _walk(_KEY_BYTE, (adjacent_swap,))
-    check("key", [key_bits, key_shuffled], _KEY_EXPECTED)
-    xor_key = functools.partial(key_directed_xor, key=adjacent_swap(bytes_to_bits(key)))
+    key_bits = bytes_to_bits(key)
+    key_shuffled = adjacent_swap(key_bits)
+    key_text = ["".join(map(str, bits)) for bits in (key_bits, key_shuffled)]
+    check("key", key_text, _KEY_EXPECTED)
+    xor_key = functools.partial(key_directed_xor, key=key_shuffled)
 
-    print(f"encryption (key 'Z' = 90, bits {key_bits} -> shuffled {key_shuffled})")
+    print(f"encryption (key 'Z' = 90, bits {key_text[0]} -> shuffled {key_text[1]})")
     print(f"{'char':>4} {'byte':>4} {'bits':>8} {'shuffled':>8} "
           f"{'xored':>8} {'inverted':>8} {'out':>3}")
     for plain, *want, out in _EXPECTED:

@@ -1,24 +1,23 @@
 """Deterministic discrete-event simulation of the telemetry pipeline.
 
 Sensors fire on fixed periods and hand readings to their hub; each hub
-flushes an aggregated batch every tick it received anything; the batch is
+sends one aggregated batch every tick it received anything; the batch is
 relayed hop by hop to the hub's sink; the sink encrypts it, wraps it in a
 frame, and relays the frame to the fusion center, which looks up the key
 for the sending sink, decrypts, re-parses the readings, and tallies the
 result.  Intermediate nodes forward bytes untouched and never decrypt.
 
-One event queue drives the run: a heap of sense, flush, transmit and
-receive events, popped in the order tick, then stage (in that order), then
-node id, then dispatch order (batches that reach one sink on one tick go
-out in the order their hubs flushed them).  Idle ticks hold no event, so a
-run costs time in proportion to its readings and frames, not to
-`duration_ticks`.
+One event queue drives the run: a heap of sense, transmit and receive
+events, popped in the order tick, then stage (in that order), then node id,
+then dispatch order (batches that reach one sink on one tick go out in the
+order their hubs sent them).  Idle ticks hold no event, so a run costs time
+in proportion to its readings and frames, not to `duration_ticks`.
 
 A sense event fires a cohort: the sensors of one hub that share a period.
 Each of their value words has its own 128-bit lane of one integer, so
 `rng.mix64_lanes` derives every value of a firing in a few whole-integer
 operations, byte for byte what `sense` gives sensor by sensor.  Two cohorts
-of one hub may fire on one tick, so a flush sorts its batch by node id, once:
+of one hub may fire on one tick, so the last sorts the batch by node id, once:
 the sorted batch is encoded directly, byte for byte what `aggregate` gives.
 
 The whole run is a pure function of SimConfig: sensor values come from the
@@ -327,7 +326,7 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
 
 
 # the event stages of run_simulation, in the order each tick runs them
-SENSE, FLUSH, TRANSMIT, RECEIVE = range(4)
+SENSE, TRANSMIT, RECEIVE = range(3)
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -365,11 +364,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
-    hub_inbox: Dict[int, List[SensorReading]] = {}
-    # numbers batches in flush order: it breaks ties between one sink's
-    # events of one tick, and ends every comparison before the bytes and
-    # the carried batch list
+    # numbers batches in send order: it breaks ties between one sink's events
+    # of one tick, and ends every comparison before the bytes and the batch
     ordinals = itertools.count()
+    batch: List[SensorReading] = []  # the readings of one hub on one tick
 
     report = SimReport(
         readings_sensed=0,
@@ -383,10 +381,10 @@ def run_simulation(config: SimConfig) -> SimReport:
         },
     )
 
-    # a sense queues its hub's flush for its own tick and every other event
-    # goes to a later tick (periods and latency are at least 1), so popping in
-    # heap order runs each tick's stages in order; every event but a last
-    # sense or a receive replaces itself at the top of the heap
+    # each event queues its followers for later ticks (periods and latency
+    # are at least 1), so popping in heap order runs each tick's stages in
+    # order and the cohorts of one hub on one tick pop back to back; every
+    # event but a last sense or a receive replaces itself at the heap's top
     while events:
         event = events[0]
         stage = event[1]
@@ -398,27 +396,23 @@ def run_simulation(config: SimConfig) -> SimReport:
                 )
             else:
                 heapq.heappop(events)
-            readings = cohort(tick)
-            report.readings_sensed += len(readings)
-            inbox = hub_inbox.get(hub_id)
-            if inbox is None:
-                hub_inbox[hub_id] = readings
-                heapq.heappush(events, (tick, FLUSH, hub_id))
-            else:
-                inbox += readings
-        elif stage == FLUSH:
-            tick, _, hub_id = event
-            batch = hub_inbox.pop(hub_id)
-            # the inbox holds one tick; each cohort that fired on it arrived
-            # in id order, but the cohorts did not, so carried needs the sort.
-            # A sensor has one hub and fires at most once a tick, so the
-            # node ids here are unique: tuple order is _NODE_THEN_TIME order,
-            # every comparison ends at node_id, and no key is needed
+            batch += cohort(tick)
+            # the batch waits for this hub's other cohorts of this tick, which
+            # pop next; the stage needs no check, since the third field of a
+            # transmit or a receive is a sink and node ids are unique across roles
+            if events and events[0][0] == tick and events[0][2] == hub_id:
+                continue
+            report.readings_sensed += len(batch)
+            # cohorts arrive by period, not id.  A sensor has one hub and fires
+            # at most once a tick, so these node ids are unique: tuple order is
+            # _NODE_THEN_TIME order, every comparison ends at node_id, and no
+            # key is needed
             batch.sort()
-            heapq.heapreplace(events, (
+            heapq.heappush(events, (
                 tick + transit[hub_id], TRANSMIT, topology.routes[hub_id][-1],
                 next(ordinals), encode_readings(batch), batch,
             ))
+            batch = []
         elif stage == TRANSMIT:
             tick, _, sink_id, ordinal, payload, carried = event
             stats = report.per_sink[sink_id]

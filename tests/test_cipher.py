@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -272,3 +273,26 @@ def test_bulk_matches_short_path_block_by_block(size, seed, key):
         decrypt(plaintext[i : i + block], key) for i in blocks
     )
     assert decrypt(ciphertext, key) == plaintext
+
+
+@functools.cache
+def reference_pair(size, key_len):
+    rng = random.Random(size * 33 + key_len)
+    plaintext = rng.randbytes(size)
+    key = rng.randbytes(key_len)
+    return plaintext, key, ref_encrypt(plaintext, key)
+
+
+@pytest.mark.parametrize("size", [_BULK - 1, _BULK, _BULK + 1])
+@pytest.mark.parametrize("key_len", [1, 2, 32])
+@pytest.mark.parametrize("wrap", [bytes, bytearray])
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_both_paths_return_bytes(size, key_len, wrap, cipher):
+    # a 1-byte key from _BULK up is one translate, which keeps the input's type
+    plaintext, key, ciphertext = reference_pair(size, key_len)
+    given, want = plaintext, ciphertext
+    if cipher is decrypt:
+        given, want = want, given
+    result = cipher(wrap(given), key)
+    assert type(result) is bytes
+    assert result == want

@@ -747,6 +747,24 @@ def test_vectors_output_is_stable(capsys):
     assert capsys.readouterr().out == first
 
 
+VECTORS_OUTPUT = """\
+encryption (key 'Z' = 90, bits 01011010 -> shuffled 10100101)
+char byte     bits shuffled    xored inverted out
+   A   65 01000001 10000010 00100111 11011000 216
+   B   66 01000010 10000001 00100100 11011011 219
+decryption
+byte     bits inverted    xored shuffled char
+ 216 11011000 00100111 10000010 01000001    A
+ 219 11011011 00100100 10000001 01000010    B
+all vectors match
+"""
+
+
+def test_vectors_output_is_pinned(capsys):
+    assert run(["vectors"]) == 0
+    assert capsys.readouterr().out == VECTORS_OUTPUT
+
+
 def test_vectors_detect_broken_cipher(capsys, monkeypatch):
     # negative control: a corrupted primitive must fail the self-check
     monkeypatch.setattr(cli, "encrypt", lambda data, key: b"\x00" * len(data))

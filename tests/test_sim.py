@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import runpy
 from operator import attrgetter
@@ -1018,6 +1019,46 @@ def test_golden_report_is_pinned():
 def test_demo_report_is_pinned():
     report = run_simulation(load_config(str(CONFIG_PATH)))
     assert json.dumps(report_to_dict(report)) == DEMO_REPORT
+
+
+def frame_digest(config):
+    """sha256 of every frame the run encodes, joined in transmit order."""
+    digest = hashlib.sha256()
+
+    def recording(frame):
+        encoded = encode_frame(frame)
+        digest.update(encoded)
+        return encoded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "encode_frame", recording)
+        run_simulation(config)
+    return digest.hexdigest()
+
+
+# the reports above count frames; these pin their bytes, so a change to
+# sequence numbers, frame order or payloads shows even where no corruption
+# hook lands on it
+@pytest.mark.parametrize("config, expected", [
+    (load_config(str(CONFIG_PATH)),
+     "60fe11dbba2dc2d48b14d2e69174e05614882657851137c35364f3ee2f553ae5"),
+    (golden_config(),
+     "571ffd9913e2b7172e9fe966d57ad503d74bf41c3401f0d9a800a6cb1eb2a22b"),
+    (tied_config(
+        {10: (10, 30), 11: (11, 20, 21, 30), 30: (30, 99)},
+        [(10, SCALAR, 3), (11, SCALAR, 2), (11, SCALAR, 2)],
+        corrupted_frame=2,
+    ),
+     "8343f4516529215754ff89aafdbbdf4b726f4c075d2ac3d0094d0826df706c17"),
+    (tied_config(
+        {10: (10, 31), 11: (11, 30), 30: (30, 99), 31: (31, 40, 41, 99)},
+        [(10, AUDIO, 2), (11, VIDEO, 3), (11, SCALAR, 3)],
+        corrupted_frame=3,
+    ),
+     "8517dc27cd2ddf9a93a755dc6afb0c8ccb849ee3c3848d65d05e062806681fed"),
+], ids=["demo", "golden", "one-sink-two-route-lengths", "two-sinks-two-route-lengths"])
+def test_frame_bytes_are_pinned(config, expected):
+    assert frame_digest(config) == expected
 
 
 def test_run_demo_sim_script(capsys):
