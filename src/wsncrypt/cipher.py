@@ -10,15 +10,16 @@ The pipeline works on bit streams (MSB-first within each source byte):
 Every stage is a position permutation or a per-bit XOR, so ciphertext length
 always equals plaintext length and the two directions are exact inverses.
 
-The public `encrypt`/`decrypt` work on bytes.  The adjacent swap stays
-inside each byte and is linear over XOR, and the complement is an XOR with
-all ones, so both directions are one byte map, ``SWAP_NOT[x_j] ^ s_(j mod
-L)`` with SWAP_NOT the complemented swap table: encrypt maps the plaintext
-with s = swap(k), decrypt maps the ciphertext with s = k.  The map has one
-length fork.  From `_BULK` bytes up, each of the L stream bytes gets its
-own 256-entry table and translates every L-th byte; shorter messages
-(simulator frames, the block that confirms a key search's hit) cost less as
-one SWAP_NOT translate and one message-wide integer XOR.  The bit-stream functions below are the
+The public `encrypt`/`decrypt` take any bytes-like message and key and
+return bytes.  The adjacent swap stays inside each byte and is linear over
+XOR, and the complement is an XOR with all ones, so both directions are one
+byte map, ``SWAP_NOT[x_j] ^ s_(j mod L)`` with SWAP_NOT the complemented
+swap table: encrypt maps the plaintext with s = swap(k), decrypt maps the
+ciphertext with s = k.  The map has one length fork.  From `_BULK` bytes up,
+each of the L stream bytes gets its own 256-entry table and translates
+every L-th byte; shorter messages (simulator frames, the block that
+confirms a key search's hit) cost less as one SWAP_NOT translate and one
+message-wide integer XOR.  The bit-stream functions below are the
 definitional forms; the tests prove both sides of the fork equal to them
 and to a bit-at-a-time reference.
 
@@ -70,13 +71,27 @@ class NonByteAlignedError(ValueError):
     """Bit stream length is not a multiple of 8."""
 
 
-def _check_key(key: bytes) -> None:
+def _as_bytes(data: bytes) -> bytes:
+    """`data` itself when it is bytes or a bytearray, else a bytes copy of
+    any other bytes-like value, such as a memoryview.  Not ``bytes(data)``,
+    which would turn an int n into n zero bytes: what is not bytes-like
+    raises TypeError."""
+    if isinstance(data, (bytes, bytearray)):
+        return data
+    return memoryview(data).tobytes()
+
+
+def _check_key(key: bytes) -> bytes:
+    """The key as bytes (`_as_bytes`), once its length is checked."""
+    if type(key) is not bytes:  # the test alone is cheaper than the call
+        key = _as_bytes(key)
     if len(key) == 0:
         raise EmptyKeyError("key must be at least 1 byte")
     if len(key) > MAX_KEY_BYTES:
         raise KeyLengthError(
             f"key is {len(key)} bytes, maximum is {MAX_KEY_BYTES}"
         )
+    return key
 
 
 def bytes_to_bits(data: bytes) -> List[int]:
@@ -131,6 +146,8 @@ def complement(bits: Sequence[int]) -> List[int]:
 
 def _swap_not_xor(data: bytes, stream_key: bytes) -> bytes:
     """Map byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j % L]``."""
+    if type(data) is not bytes:
+        data = _as_bytes(data)
     n = len(data)
     if n >= _BULK:
         step = len(stream_key)
@@ -153,13 +170,13 @@ def encrypt(plaintext: bytes, key: bytes) -> bytes:
     ``bits_to_bytes(complement(key_directed_xor(adjacent_swap(bytes_to_bits(
     plaintext)), adjacent_swap(bytes_to_bits(key)))))`` but byte-at-a-time.
     """
-    _check_key(key)
+    key = _check_key(key)
     # ~swap(p ^ k) == SWAP_NOT[p] ^ swap(k): the swap is linear.
     return _swap_not_xor(plaintext, key.translate(_SWAP_TABLE))
 
 
 def decrypt(ciphertext: bytes, key: bytes) -> bytes:
     """Exact inverse of `encrypt` under the same key."""
-    _check_key(key)
+    key = _check_key(key)
     # swap(~c ^ swap(k)) == SWAP_NOT[c] ^ k.
     return _swap_not_xor(ciphertext, key)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .cipher import _SWAP_NOT_TABLE, MAX_KEY_BYTES, bytes_to_bits, encrypt
+from .cipher import _SWAP_NOT_TABLE, MAX_KEY_BYTES, _as_bytes, bytes_to_bits, encrypt
 
 SECONDS_PER_YEAR = 86400 * 365
 
@@ -109,6 +109,7 @@ def _raw_keystream(known_plaintext: bytes, ciphertext: bytes) -> bytes:
     repetition equals it encrypts the plaintext to the ciphertext.  Raises
     LengthMismatchError unless the two have the same non-zero length.
     """
+    known_plaintext, ciphertext = _as_bytes(known_plaintext), _as_bytes(ciphertext)
     n = len(known_plaintext)
     if n == 0 or n != len(ciphertext):
         raise LengthMismatchError(

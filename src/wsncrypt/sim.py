@@ -226,7 +226,7 @@ def aggregate(readings: Sequence[SensorReading]) -> bytes:
 
 def sink_transmit(sink_id: int, payload: bytes, sequence: int, key: bytes) -> Frame:
     """Encrypt a batch payload and wrap it in a cleartext-header frame."""
-    return Frame(sink_id=sink_id, sequence=sequence, payload=encrypt(payload, key))
+    return Frame(sink_id, sequence, encrypt(payload, key))
 
 
 def relay(path: Sequence[int], hop_latency_ticks: int) -> List[Tuple[int, int]]:
@@ -356,11 +356,14 @@ def run_simulation(config: SimConfig) -> SimReport:
         for (hub_id, period), sensors in cohorts.items()
     ]
     heapq.heapify(events)
-    # ticks from a route's first node to its last; routes never change
+    # ticks from a route's first node to its last, and that last node (a
+    # hub's sink); routes never change
     transit = {
         owner: relay(route, config.hop_latency_ticks)[-1][1]
         for owner, route in topology.routes.items()
     }
+    route_end = {owner: route[-1] for owner, route in topology.routes.items()}
+    sink_keys, registry = config.sink_keys, config.registry
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
@@ -380,6 +383,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             sink: SinkStats() for sink in sorted(topology.ids_with_role(ROLE_SINK))
         },
     )
+    per_sink = report.per_sink
 
     # each event queues its followers for later ticks (periods and latency
     # are at least 1), so popping in heap order runs each tick's stages in
@@ -409,17 +413,17 @@ def run_simulation(config: SimConfig) -> SimReport:
             # key is needed
             batch.sort()
             heapq.heappush(events, (
-                tick + transit[hub_id], TRANSMIT, topology.routes[hub_id][-1],
+                tick + transit[hub_id], TRANSMIT, route_end[hub_id],
                 next(ordinals), encode_readings(batch), batch,
             ))
             batch = []
         elif stage == TRANSMIT:
             tick, _, sink_id, ordinal, payload, carried = event
-            stats = report.per_sink[sink_id]
+            stats = per_sink[sink_id]
             # a sink's frame count is its next sequence number, and the
             # run's frame count the next frame's corruption index
             frame = sink_transmit(
-                sink_id, payload, stats.frames_sent, config.sink_keys[sink_id]
+                sink_id, payload, stats.frames_sent, sink_keys[sink_id]
             )
             encoded = encode_frame(frame)
             for bit in corruption.get(report.frames_sent, ()):
@@ -432,22 +436,23 @@ def run_simulation(config: SimConfig) -> SimReport:
             ))
         else:
             _, _, origin_sink, _, encoded, carried = heapq.heappop(events)
+            stats = per_sink[origin_sink]
             report.frames_delivered += 1
-            report.per_sink[origin_sink].frames_delivered += 1
+            stats.frames_delivered += 1
             try:
-                readings = fusion_receive(encoded, config.registry)
+                readings = fusion_receive(encoded, registry)
             except DecodeError as exc:
                 kind = exc.kind
                 report.frames_rejected[kind] = (
                     report.frames_rejected.get(kind, 0) + 1
                 )
-                report.per_sink[origin_sink].frames_rejected += 1
+                stats.frames_rejected += 1
                 report.fidelity_ok = False
             else:
                 if readings != carried:
                     report.fidelity_ok = False
                 report.readings_recovered += len(readings)
-                report.per_sink[origin_sink].readings_recovered += len(readings)
+                stats.readings_recovered += len(readings)
 
     return report
 

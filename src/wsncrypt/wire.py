@@ -10,6 +10,9 @@ Frame layout (all integers big-endian):
     offset 11  payload         payload_length bytes
     last byte  checksum        XOR of every preceding byte
 
+A frame in memory is a `Frame`, an immutable named tuple `(sink_id,
+sequence, payload)`; the checksum exists only on the wire.
+
 Reading record layout: node_id (u16) | timestamp (u32) | kind (u8) |
 value_length (u8) | value bytes.  A batch is a u16 record count followed by
 that many records.  A decoded record is a `SensorReading`, an immutable
@@ -30,7 +33,6 @@ sink_id to pick the decryption key before it can touch the payload.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List, NamedTuple, Sequence
 
@@ -119,14 +121,28 @@ class SensorReading(NamedTuple):
     value: bytes
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Sink-to-receiver wire unit.  The checksum only exists on the wire:
-    encoding computes it fresh and decoding verifies it."""
+class Frame(NamedTuple):
+    """Sink-to-receiver wire unit: an immutable (sink_id, sequence, payload)
+    tuple.  The checksum only exists on the wire: encoding computes it fresh
+    and decoding verifies it."""
 
     sink_id: int
     sequence: int
-    payload: bytes = field(default=b"")
+    payload: bytes = b""
+
+
+# xor_fold's passes: _FOLDS holds (shift, mask) for halves of 2**k bytes, k
+# from _FOLD_MAX_K down to 0, and _FOLD_PASSES[b] its last b passes, the
+# ones that fold up to 2**b lanes.  Wider masks would serve only frames
+# longer than 2 KiB, which are first halved to that size with masks built
+# as they go.
+_FOLD_MAX_K = 10
+_FOLD_TABLE_LANES = 2 << _FOLD_MAX_K
+_FOLDS = tuple((8 << k, (1 << (8 << k)) - 1) for k in range(_FOLD_MAX_K, -1, -1))
+_FOLD_PASSES = tuple(_FOLDS[len(_FOLDS) - b :] for b in range(len(_FOLDS) + 1))
+
+# each byte value as a one-byte bytes, the checksum encode_frame appends
+_BYTE = tuple(bytes((b,)) for b in range(256))
 
 
 def xor_fold(data: bytes) -> int:
@@ -135,10 +151,12 @@ def xor_fold(data: bytes) -> int:
     # is left: each pass keeps the XOR of all lanes, in log2(len) big-int ops
     acc = int.from_bytes(data, "big")
     lanes = len(data)
-    while lanes > 1:
+    while lanes > _FOLD_TABLE_LANES:
         lanes = (lanes + 1) // 2
         shift = 8 * lanes
         acc = (acc >> shift) ^ (acc & ((1 << shift) - 1))
+    for shift, mask in _FOLD_PASSES[(lanes - 1).bit_length()]:
+        acc = (acc >> shift) ^ (acc & mask)
     return acc
 
 
@@ -158,29 +176,31 @@ def _misfit(fields: dict, values: Sequence) -> str:
 
 
 def _bytes_like_len(what: str, value: object) -> int:
-    """``len(value)`` of a bytes-like value, else a ValueError that names
-    its type; the value itself is never formatted, as for `_misfit`."""
+    """The byte length of a bytes-like value (of a memoryview, not its item
+    count), else a ValueError that names its type; the value itself is never
+    formatted, as for `_misfit`."""
     try:
-        return len(memoryview(value))
+        return memoryview(value).nbytes
     except TypeError:
         raise ValueError(f"{what} ({type(value).__name__}) is not bytes-like") from None
 
 
 def encode_frame(frame: Frame) -> bytes:
-    size = _bytes_like_len("frame payload", frame.payload)
+    sink_id, sequence, payload = frame
+    size = _bytes_like_len("frame payload", payload)
     if size > MAX_PAYLOAD:
         raise PayloadTooLargeError(
             f"payload of {size} bytes exceeds {MAX_PAYLOAD}"
         )
-    header = (MAGIC, VERSION, frame.sink_id, frame.sequence, size)
     try:
-        body = _HEADER.pack(*header)
+        header = _HEADER.pack(MAGIC, VERSION, sink_id, sequence, size)
     except struct.error:
+        fields = (MAGIC, VERSION, sink_id, sequence, size)
         raise ValueError(
-            f"frame header does not fit: {_misfit(_HEADER_FIELDS, header)}"
+            f"frame header does not fit: {_misfit(_HEADER_FIELDS, fields)}"
         ) from None
-    body += frame.payload
-    return body + bytes([xor_fold(body)])
+    body = header + payload
+    return body + _BYTE[xor_fold(body)]
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -189,29 +209,29 @@ def decode_frame(data: bytes) -> Frame:
     Raises a distinct DecodeError subclass per failure so receivers can
     count rejections by kind.
     """
-    if len(data) < HEADER_LEN + CHECKSUM_LEN:
-        raise TruncatedError(f"{len(data)} bytes is shorter than any frame")
+    size = len(data)
+    if size < HEADER_LEN + CHECKSUM_LEN:
+        raise TruncatedError(f"{size} bytes is shorter than any frame")
     magic, version, sink_id, sequence, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic.hex()}")
     if version != VERSION:
         raise UnsupportedVersionError(f"version {version} not supported")
     expected = HEADER_LEN + payload_len + CHECKSUM_LEN
-    if len(data) < expected:
+    if size < expected:
         raise TruncatedError(
             f"frame declares {payload_len} payload bytes but only "
-            f"{len(data)} total bytes arrived"
+            f"{size} total bytes arrived"
         )
-    if len(data) > expected:
-        raise TrailingBytesError(f"{len(data) - expected} bytes after frame")
+    if size > expected:
+        raise TrailingBytesError(f"{size - expected} bytes after frame")
     # the fold of the whole frame is the sent checksum XOR the computed one
     fold = xor_fold(data)
     if fold:
         raise ChecksumMismatchError(
             f"checksum {data[-1]:#04x} != computed {fold ^ data[-1]:#04x}"
         )
-    payload = data[HEADER_LEN : HEADER_LEN + payload_len]
-    return Frame(sink_id=sink_id, sequence=sequence, payload=payload)
+    return Frame(sink_id, sequence, data[HEADER_LEN : HEADER_LEN + payload_len])
 
 
 def encode_readings(readings: Sequence[SensorReading]) -> bytes:

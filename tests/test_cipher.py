@@ -285,14 +285,33 @@ def reference_pair(size, key_len):
 
 @pytest.mark.parametrize("size", [_BULK - 1, _BULK, _BULK + 1])
 @pytest.mark.parametrize("key_len", [1, 2, 32])
-@pytest.mark.parametrize("wrap", [bytes, bytearray])
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
 @pytest.mark.parametrize("cipher", [encrypt, decrypt])
 def test_both_paths_return_bytes(size, key_len, wrap, cipher):
-    # a 1-byte key from _BULK up is one translate, which keeps the input's type
+    # a 1-byte key from _BULK up is one translate, which keeps the input's
+    # type; a memoryview has no translate at all
     plaintext, key, ciphertext = reference_pair(size, key_len)
     given, want = plaintext, ciphertext
     if cipher is decrypt:
         given, want = want, given
-    result = cipher(wrap(given), key)
+    result = cipher(wrap(given), wrap(key))
     assert type(result) is bytes
     assert result == want
+
+
+@pytest.mark.parametrize("size", [10, _BULK + 8])
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_a_wide_memoryview_is_read_as_its_bytes(size, cipher):
+    # len() of a memoryview counts items, not bytes
+    data, key = bytes(range(256)) * (size // 256) + bytes(size % 256), b"\x5a\xa5"
+    wide = memoryview(data).cast("H")
+    assert cipher(wide, memoryview(key).cast("H")) == cipher(data, key)
+
+
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_an_int_is_neither_message_nor_key(cipher):
+    # bytes(n) would be n zero bytes
+    with pytest.raises(TypeError):
+        cipher(5, b"k")
+    with pytest.raises(TypeError):
+        cipher(b"abc", 1)

@@ -296,6 +296,17 @@ def test_recover_key_without_length_gives_the_shortest_equivalent_key():
     assert recover_key(plaintext, encrypt(plaintext, key)) == key
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_attacks_take_any_bytes_like_block(wrap):
+    key = bytes.fromhex("a1b2")
+    plaintext = random.Random(3).randbytes(40)
+    ciphertext = encrypt(plaintext, key)
+    pair = (wrap(plaintext), wrap(ciphertext))
+    assert recover_key(*pair) == recover_key(*pair, 2) == key
+    assert recover_keystream(*pair) == recover_keystream(plaintext, ciphertext)
+    assert exhaustive_search(*pair, 2) == key
+
+
 def test_recover_key_refuses_a_block_no_key_fits():
     rng = random.Random(17)
     plaintext = rng.randbytes(40)

@@ -36,6 +36,7 @@ from wsncrypt.wire import (
     HEADER_LEN,
     MAX_PAYLOAD,
     BadMagicError,
+    ChecksumMismatchError,
     DecodeError,
     ReadingKind,
     SensorReading,
@@ -231,6 +232,16 @@ def test_fusion_receive_round_trip():
     assert sorted(fusion_receive(encoded, {30: b"Z" * 8})) == readings
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_fusion_receive_takes_any_bytes_like_frame(wrap):
+    encoded, readings = end_to_end_frame()
+    assert sorted(fusion_receive(wrap(encoded), {30: wrap(b"Z" * 8)})) == readings
+    flipped = bytearray(encoded)
+    flipped[-2] ^= 1
+    with pytest.raises(ChecksumMismatchError):
+        fusion_receive(wrap(flipped), {30: b"Z" * 8})
+
+
 def test_fusion_receive_unknown_sink():
     encoded, _ = end_to_end_frame()
     with pytest.raises(UnknownSinkError) as err:
@@ -278,10 +289,10 @@ def received_frames(draw):
     return bytes(encoded)
 
 
-@given(received_frames())
-def test_fusion_receive_raises_only_decode_errors(data):
+@given(received_frames(), st.sampled_from([bytes, bytearray, memoryview]))
+def test_fusion_receive_raises_only_decode_errors(data, wrap):
     try:
-        fusion_receive(data, {30: b"Z" * 8})
+        fusion_receive(wrap(data), {30: b"Z" * 8})
     except DecodeError:
         pass
 

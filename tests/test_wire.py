@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from wire_reference import ref_decode_readings, ref_encode_readings
 
 from wsncrypt.wire import (
+    CHECKSUM_LEN,
+    HEADER_LEN,
     MAX_PAYLOAD,
     BadKindError,
     BadMagicError,
@@ -58,6 +62,18 @@ def test_frame_length_is_header_plus_payload_plus_checksum():
 @given(frames)
 def test_frame_round_trip(frame):
     assert decode_frame(encode_frame(frame)) == frame
+
+
+def test_frame_contract():
+    frame = Frame(1, 2, b"ab")
+    assert repr(frame) == "Frame(sink_id=1, sequence=2, payload=b'ab')"
+    assert frame == Frame(sink_id=1, sequence=2, payload=b"ab") == (1, 2, b"ab")
+    assert Frame(1, 2).payload == b""
+    sink_id, sequence, payload = frame
+    assert (sink_id, sequence, payload) == (1, 2, b"ab")
+    for name in Frame._fields:
+        with pytest.raises(AttributeError):
+            setattr(frame, name, 0)
 
 
 def test_sequence_change_touches_only_sequence_and_checksum():
@@ -255,10 +271,27 @@ def _xor_fold_by_byte(data):
     return acc
 
 
-@example(b"")
-@given(st.binary(max_size=4096))
-def test_xor_fold_matches_byte_loop(data):
-    assert xor_fold(data) == _xor_fold_by_byte(data)
+BYTES_LIKE = [bytes, bytearray, memoryview]
+
+
+@example(b"", bytes)
+@given(st.binary(max_size=4096), st.sampled_from(BYTES_LIKE))
+def test_xor_fold_matches_byte_loop(data, wrap):
+    assert xor_fold(wrap(data)) == _xor_fold_by_byte(data)
+
+
+# either side of every power-of-two lane count up to 128 KiB, which crosses
+# the fold's pass table, and the longest frame
+@pytest.mark.parametrize(
+    "size",
+    sorted({2**k + d for k in range(18) for d in (-1, 0, 1)}
+           | {HEADER_LEN + MAX_PAYLOAD + CHECKSUM_LEN}),
+)
+def test_xor_fold_matches_byte_loop_at_lane_edges(size):
+    data = random.Random(size).randbytes(size)
+    want = _xor_fold_by_byte(data)
+    for wrap in BYTES_LIKE:
+        assert xor_fold(wrap(data)) == want
 
 
 # -- decoder contract ---------------------------------------------------------------
@@ -412,6 +445,12 @@ def test_encoders_take_every_bytes_like_value(value):
     assert encode_readings([SensorReading(1, 1, ReadingKind.SCALAR, value)]) == want
     frame = encode_frame(Frame(sink_id=1, sequence=0, payload=value))
     assert frame == encode_frame(Frame(sink_id=1, sequence=0, payload=b"\x01\x02"))
+
+
+def test_frame_payload_length_counts_bytes_not_items():
+    wide = memoryview(b"\x01\x02\x03\x04").cast("H")  # 2 items of 2 bytes
+    want = encode_frame(Frame(1, 0, b"\x01\x02\x03\x04"))
+    assert encode_frame(Frame(1, 0, wide)) == want
 
 
 # -- against the reference codecs -----------------------------------------------------
