@@ -75,6 +75,8 @@ tier1() {
 console_script() {
     wsncrypt vectors
     test "$(wsncrypt encrypt --in-hex 4142 --key-hex 5a)" = d8db
+    test "$(wsncrypt keygen --key-bytes 8 --seed 1)" = bfef8030ddc2d772
+    wsncrypt estimate --key-bits 64 --rate 1000000 | grep -qx 'years=292471'
     wsncrypt simulate --config configs/demo.json
     wsncrypt simulate --config configs/demo.json --report "$RUNNER_TEMP/r.json"
     python -c "import json,sys; json.load(open(sys.argv[1]))" "$RUNNER_TEMP/r.json"
@@ -127,6 +129,7 @@ step "Traced attack-recover smoke run (period-repeat expansion matching the pins
 py311_step "File-encrypt benchmark smoke run (bulk cipher path against the pins)" bench file-encrypt 0
 py311_step "File-decrypt benchmark smoke run (bulk cipher path against the pins)" bench file-decrypt 0
 py311_step "Traced file-encrypt smoke run (bulk cipher tables under the tracer gates)" bench file-encrypt 1
+py311_step "Traced file-decrypt smoke run (bulk decrypt path under the tracer gates)" bench file-decrypt 1
 
 echo
 echo "=== summary"

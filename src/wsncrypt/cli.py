@@ -10,6 +10,10 @@ Arguments are checked by the library calls they feed, or by the subcommand
 where no call can (keygen's length and seed, estimate's rate and result
 size): a rejected argument is a `ValueError`, which `main` alone prints, as
 one `error:` line per problem, and turns into exit 2.
+
+A subcommand imports what only it uses as it runs: `simulate` loads the
+simulator and `attack` and `estimate` the attack layer, so `encrypt`,
+`decrypt`, `keygen` and `vectors` load `cipher` and `rng` alone.
 """
 
 from __future__ import annotations
@@ -38,15 +42,6 @@ from .cipher import (
     encrypt,
     key_directed_xor,
 )
-from .keyspace import (
-    MAX_SEARCH_KEY_BYTES,
-    MODE_AVERAGE,
-    MODE_WORST_CASE,
-    AttackModel,
-    estimate_brute_force,
-    exhaustive_search,
-)
-from .sim import load_config, report_to_dict, run_simulation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -185,6 +180,8 @@ _RATE_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from .keyspace import MODE_AVERAGE, MODE_WORST_CASE, AttackModel, estimate_brute_force
+
     if len(args.rate) > _MAX_RATE_CHARS:
         raise ValueError(f"--rate is longer than {_MAX_RATE_CHARS} characters")
     exponent = _RATE_EXPONENT.search(args.rate)
@@ -221,6 +218,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from .keyspace import exhaustive_search
+
     plain = _parse_hex(args.plain_hex, "--plain-hex")
     cipher = _parse_hex(args.cipher_hex, "--cipher-hex")
     key = exhaustive_search(plain, cipher, args.key_bytes)
@@ -232,6 +231,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import load_config, report_to_dict, run_simulation
+
     report = run_simulation(load_config(args.config))
     text = json.dumps(report_to_dict(report), indent=2)
     if args.report is None:
@@ -313,6 +314,16 @@ def cmd_vectors(_args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _KeyspaceHelpFormatter(argparse.HelpFormatter):
+    """Fills `keyspace`'s names into help text as it is printed, so that
+    building the parser does not load `keyspace`."""
+
+    def _get_help_string(self, action):
+        from . import keyspace
+
+        return action.help.format_map(vars(keyspace))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call
@@ -351,11 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("average", "worst"), default="average")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("attack", help="known-plaintext exhaustive key search")
+    p = sub.add_parser("attack", help="known-plaintext exhaustive key search",
+                       formatter_class=_KeyspaceHelpFormatter)
     p.add_argument("--plain-hex", required=True)
     p.add_argument("--cipher-hex", required=True)
     p.add_argument("--key-bytes", type=int, required=True,
-                   help=f"1..{MAX_SEARCH_KEY_BYTES}")
+                   help="1..{MAX_SEARCH_KEY_BYTES}")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("simulate", help="run a telemetry simulation")

@@ -36,6 +36,8 @@ import struct
 from enum import IntEnum
 from typing import List, NamedTuple, Sequence
 
+from .cipher import _as_bytes
+
 MAGIC = b"\xa5\x5a"
 VERSION = 1
 _HEADER_FIELDS = {
@@ -147,6 +149,8 @@ _BYTE = tuple(bytes((b,)) for b in range(256))
 
 def xor_fold(data: bytes) -> int:
     """One-byte XOR of all input bytes."""
+    if type(data) is not bytes:  # a memoryview's len() counts items, not bytes
+        data = _as_bytes(data)
     # XOR the top half of the byte lanes onto the bottom half until one lane
     # is left: each pass keeps the XOR of all lanes, in log2(len) big-int ops
     acc = int.from_bytes(data, "big")
@@ -175,19 +179,21 @@ def _misfit(fields: dict, values: Sequence) -> str:
     raise AssertionError("struct refused a layout whose every field fits")
 
 
-def _bytes_like_len(what: str, value: object) -> int:
-    """The byte length of a bytes-like value (of a memoryview, not its item
-    count), else a ValueError that names its type; the value itself is never
-    formatted, as for `_misfit`."""
+def _bytes_like(what: str, value: object) -> bytes:
+    """A bytes-like value as `cipher._as_bytes` gives it, so that its len()
+    counts bytes (a memoryview's counts items), else a ValueError that names
+    its type; the value itself is never formatted, as for `_misfit`."""
     try:
-        return memoryview(value).nbytes
+        return _as_bytes(value)
     except TypeError:
         raise ValueError(f"{what} ({type(value).__name__}) is not bytes-like") from None
 
 
 def encode_frame(frame: Frame) -> bytes:
     sink_id, sequence, payload = frame
-    size = _bytes_like_len("frame payload", payload)
+    if type(payload) is not bytes:
+        payload = _bytes_like("frame payload", payload)
+    size = len(payload)
     if size > MAX_PAYLOAD:
         raise PayloadTooLargeError(
             f"payload of {size} bytes exceeds {MAX_PAYLOAD}"
@@ -209,6 +215,8 @@ def decode_frame(data: bytes) -> Frame:
     Raises a distinct DecodeError subclass per failure so receivers can
     count rejections by kind.
     """
+    if type(data) is not bytes:  # a memoryview's len() counts items, not bytes
+        data = _as_bytes(data)
     size = len(data)
     if size < HEADER_LEN + CHECKSUM_LEN:
         raise TruncatedError(f"{size} bytes is shorter than any frame")
@@ -247,24 +255,23 @@ def encode_readings(readings: Sequence[SensorReading]) -> bytes:
             raise ValueError(
                 f"reading kind ({type(kind).__name__}) is not a ReadingKind"
             )
+        if type(value) is not bytes:
+            value = _bytes_like("reading value", value)
         try:
             append(pack(node_id, timestamp, kind, len(value)))
-        except (struct.error, TypeError):  # TypeError: a value with no len()
-            record = (node_id, timestamp, kind, _bytes_like_len("reading value", value))
+        except struct.error:
+            record = (node_id, timestamp, kind, len(value))
             raise ValueError(
                 f"reading does not fit its record: {_misfit(_RECORD_FIELDS, record)}"
             ) from None
         append(value)
-    try:
-        return b"".join(parts)
-    except TypeError:  # a value with a length but no bytes, such as a str
-        for value in parts[2::2]:
-            _bytes_like_len("reading value", value)
-        raise
+    return b"".join(parts)
 
 
 def decode_readings(data: bytes) -> List[SensorReading]:
     """Inverse of `encode_readings`; rejects trailing garbage."""
+    if type(data) is not bytes:  # a memoryview's len() counts items, not bytes
+        data = _as_bytes(data)
     end = len(data)
     if end < COUNT_LEN:
         raise TruncatedError("batch shorter than its count field")

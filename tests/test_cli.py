@@ -171,6 +171,55 @@ def test_runtime_imports_only_the_standard_library():
     assert third_party == []
 
 
+# the package's modules loaded after importing the CLI and after each
+# subcommand in turn (stdout swallowed), as one JSON object
+_FOOTPRINT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(n for n in sys.modules if n.partition(".")[0] == "wsncrypt")
+
+import wsncrypt, wsncrypt.cli
+steps = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = wsncrypt.cli.main(argv)
+    steps[argv[0]] = (code, loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_each_subcommand_loads_only_the_modules_it_uses():
+    commands = [
+        ["encrypt", "--in-hex", "4142", "--key-hex", "5a"],
+        ["decrypt", "--in-hex", "d8db", "--key-hex", "5a"],
+        ["keygen", "--key-bytes", "8", "--seed", "1"],
+        ["vectors"],
+        ["estimate", "--key-bits", "8", "--rate", "1"],
+        ["simulate", "--config", str(CONFIG_PATH)],
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(commands)],
+        capture_output=True, text=True, env=_child_env(), check=True,
+    )
+    steps = json.loads(done.stdout)
+    front = ["wsncrypt", "wsncrypt.cipher", "wsncrypt.cli", "wsncrypt.rng"]
+    assert steps.pop("import") == front
+    for name in ("encrypt", "decrypt", "keygen", "vectors"):
+        assert steps[name] == [0, front], name
+    assert steps["estimate"] == [0, sorted(front + ["wsncrypt.keyspace"])]
+    code, modules = steps["simulate"]
+    assert code == 0
+    assert {"wsncrypt.sim", "wsncrypt.topology", "wsncrypt.wire"} <= set(modules)
+
+
+def test_attack_help_names_the_search_bound(capsys):
+    from wsncrypt.keyspace import MAX_SEARCH_KEY_BYTES
+
+    assert run(["attack", "--help"]) == 0
+    assert f"1..{MAX_SEARCH_KEY_BYTES}" in capsys.readouterr().out.split()
+
+
 def _step(key):
     """The chunk the CLI ciphers at a time under `key`."""
     return cli._CHUNK - cli._CHUNK % len(key)

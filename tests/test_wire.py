@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import example, given
@@ -271,7 +272,22 @@ def _xor_fold_by_byte(data):
     return acc
 
 
-BYTES_LIKE = [bytes, bytearray, memoryview]
+def items_view(code):
+    """A wrapper that views bytes as `code` items, so that len() counts
+    items, not bytes; a length that is no whole number of items is viewed
+    as one row of bytes instead, whose len() is 1."""
+    size = struct.calcsize(code)
+
+    def view(data):
+        if len(data) % size:
+            return memoryview(data).cast("B", shape=[1, len(data)])
+        return memoryview(data).cast(code)
+
+    view.__name__ = f"cast_{code}"
+    return view
+
+
+BYTES_LIKE = [bytes, bytearray, memoryview, items_view("H"), items_view("I")]
 
 
 @example(b"", bytes)
@@ -439,7 +455,8 @@ def test_encoders_refuse_a_value_that_is_not_bytes_like(value):
 
 
 @pytest.mark.parametrize("value", [b"\x01\x02", bytearray(b"\x01\x02"),
-                                   memoryview(b"\x01\x02")])
+                                   memoryview(b"\x01\x02"),
+                                   memoryview(b"\x01\x02").cast("H")])
 def test_encoders_take_every_bytes_like_value(value):
     want = encode_readings([SensorReading(1, 1, ReadingKind.SCALAR, b"\x01\x02")])
     assert encode_readings([SensorReading(1, 1, ReadingKind.SCALAR, value)]) == want
@@ -451,6 +468,35 @@ def test_frame_payload_length_counts_bytes_not_items():
     wide = memoryview(b"\x01\x02\x03\x04").cast("H")  # 2 items of 2 bytes
     want = encode_frame(Frame(1, 0, b"\x01\x02\x03\x04"))
     assert encode_frame(Frame(1, 0, wide)) == want
+
+
+@pytest.mark.parametrize("code", ["H", "I"])
+def test_reading_value_length_counts_bytes_not_items(code):
+    value = bytes(range(1, 9))
+    batch = encode_readings([SensorReading(1, 1, ReadingKind.SCALAR, value)])
+    view = memoryview(value).cast(code)
+    assert encode_readings([SensorReading(1, 1, ReadingKind.SCALAR, view)]) == batch
+    assert decode_readings(batch) == [(1, 1, ReadingKind.SCALAR, value)]
+
+
+def _outcome(decode, data):
+    try:
+        return decode(data)
+    except DecodeError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.binary(max_size=80)
+    | frames.map(encode_frame)
+    | damaged(frames.map(encode_frame))
+    | st.lists(readings, max_size=5).map(encode_readings)
+    | damaged(st.lists(readings, max_size=5).map(encode_readings)),
+    st.sampled_from(BYTES_LIKE),
+)
+def test_decoders_read_the_bytes_of_any_bytes_like_input(data, wrap):
+    for decode in (decode_frame, decode_readings):
+        assert _outcome(decode, wrap(data)) == _outcome(decode, data)
 
 
 # -- against the reference codecs -----------------------------------------------------
