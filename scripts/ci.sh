@@ -12,9 +12,9 @@
 # Where the steps find `wsncrypt`: in CI the Install step puts the console
 # script on PATH, so the two "Installed console script" steps and the
 # "Streamed file round trip" run the installed entry point, and the attack
-# experiment and the demo simulation import the installed package.  The
-# tier-1 tests and the benchmark import `src` either way.  Where `pip
-# install` cannot run (offline, or without the setuptools that
+# experiment, the demo simulation and the scale ladder import the installed
+# package.  The tier-1 tests and the benchmark import `src` either way.
+# Where `pip install` cannot run (offline, or without the setuptools that
 # pyproject.toml asks for), Install fails and is reported as failed; the
 # other steps can still run against `src`, with a shim on PATH standing in
 # for the entry point.  Offline, pip's own PIP_NO_INDEX=1 keeps Install from
@@ -102,6 +102,10 @@ demo_simulation() {
     python scripts/run_demo_sim.py
 }
 
+sim_scale() {
+    python scripts/sim_scale.py
+}
+
 benchmark_tests() {
     python -m pytest -q wsnbench/tests
 }
@@ -117,6 +121,7 @@ step "Installed console script attack (3-byte key ffffff, the last lane of the l
 step "Attack experiment (1- to 3-byte searches, key read off one block, effective keyspace)" attack_experiment
 step "Streamed file round trip (8 MiB, 3-byte key, decrypted in place)" streamed_round_trip
 step "Demo simulation" demo_simulation
+step "Simulator scale ladder (77 to 60,301 nodes, reports against the benchmark's oracle)" sim_scale
 step "Benchmark tests" benchmark_tests
 step "Benchmark smoke run (fails on any pin or oracle mismatch)" bench sim-sparse 0
 step "Sim-wide benchmark smoke run (untraced per-reading path against the pins)" bench sim-wide 0

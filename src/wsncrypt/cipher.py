@@ -15,13 +15,14 @@ return bytes.  The adjacent swap stays inside each byte and is linear over
 XOR, and the complement is an XOR with all ones, so both directions are one
 byte map, ``SWAP_NOT[x_j] ^ s_(j mod L)`` with SWAP_NOT the complemented
 swap table: encrypt maps the plaintext with s = swap(k), decrypt maps the
-ciphertext with s = k.  The map has one length fork.  From `_BULK` bytes up,
-each of the L stream bytes gets its own 256-entry table and translates
-every L-th byte; shorter messages (simulator frames, the block that
-confirms a key search's hit) cost less as one SWAP_NOT translate and one
-message-wide integer XOR.  The bit-stream functions below are the
-definitional forms; the tests prove both sides of the fork equal to them
-and to a bit-at-a-time reference.
+ciphertext with s = k.  A 1-byte stream is one translate of the whole
+message through its own 256-entry table, at every length.  Longer streams
+take one length fork.  From `_BULK` bytes up, each of the L stream bytes
+gets its own table and translates every L-th byte; shorter messages
+(simulator frames, the block that confirms a key search's hit) cost less
+as one SWAP_NOT translate and one message-wide integer XOR.  The bit-stream
+functions below are the definitional forms; the tests prove every path
+equal to them and to a bit-at-a-time reference.
 
 Output byte j depends only on input byte j and j mod L, so a caller may
 cut a long input into chunks whose lengths are multiples of L and cipher
@@ -148,17 +149,17 @@ def _swap_not_xor(data: bytes, stream_key: bytes) -> bytes:
     """Map byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j % L]``."""
     if type(data) is not bytes:
         data = _as_bytes(data)
+    step = len(stream_key)
+    if step == 1:
+        # translate keeps a bytearray's type; bytes() of a bytes is itself
+        return bytes(data.translate(_TABLES[stream_key[0]]))
     n = len(data)
     if n >= _BULK:
-        step = len(stream_key)
-        if step == 1:
-            # translate keeps a bytearray's type; bytes() of a bytes is itself
-            return bytes(data.translate(_TABLES[stream_key[0]]))
         out = bytearray(n)
         for i, k in enumerate(stream_key):
             out[i::step] = data[i::step].translate(_TABLES[k])
         return bytes(out)
-    stream = (stream_key * -(-n // len(stream_key)))[:n]
+    stream = (stream_key * -(-n // step))[:n]
     value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")
     return (value ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
 

@@ -13,12 +13,17 @@ then dispatch order (batches that reach one sink on one tick go out in the
 order their hubs sent them).  Idle ticks hold no event, so a run costs time
 in proportion to its readings and frames, not to `duration_ticks`.
 
-A sense event fires a cohort: the sensors of one hub that share a period.
-Each of their value words has its own 128-bit lane of one integer, so
-`rng.mix64_lanes` derives every value of a firing in a few whole-integer
-operations, byte for byte what `sense` gives sensor by sensor.  Two cohorts
-of one hub may fire on one tick, so the last sorts the batch by node id, once:
-the sorted batch is encoded directly, byte for byte what `aggregate` gives.
+Hubs are cut into hub groups: runs of consecutive hubs, in id order, with
+at most _GROUP_SENSORS sensors in all (a larger hub is a group alone).  A
+sense event, keyed by its group's first hub id and its period, fires a
+cohort: the sensors of one group that share a period.  Each of their value
+words has its own 128-bit lane of one integer, so `rng.mix64_lanes` derives
+every value of a firing in a few whole-integer operations, byte for byte
+what `sense` gives sensor by sensor, and a group pays a firing's fixed cost
+once for all its hubs.  Two cohorts of one group may fire on one tick; after
+the last, each hub of the group, in id order, sorts its readings by node id
+and sends them as its batch, encoded directly, byte for byte what
+`aggregate` gives.
 
 The whole run is a pure function of SimConfig: sensor values come from the
 seeded mixer in `wsncrypt.rng` and the event order is total, so two runs of
@@ -328,6 +333,13 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
 # the event stages of run_simulation, in the order each tick runs them
 SENSE, TRANSMIT, RECEIVE = range(3)
 
+# The most sensors in a hub group.  A firing costs ~4.5 us fixed plus ~0.5 us
+# per sensor, so at 256 the fixed part is ~4%, and its lane integers stay
+# under 16 KB.  Unbounded groups (2.2 MB integers) ran the 60,301-node ladder
+# rung 6-20% slower.  In process, sim-wide ran 1.04x at 256 against 64, and
+# 1,024 gained nothing on the 17,153- and 60,301-node rungs.
+_GROUP_SENSORS = 256
+
 
 def run_simulation(config: SimConfig) -> SimReport:
     """Run the full pipeline to quiescence and account for every frame.
@@ -340,21 +352,45 @@ def run_simulation(config: SimConfig) -> SimReport:
     """
     topology = config.topology
     nodes = topology.node_map()
-    hub_ids = set(topology.ids_with_role(ROLE_HUB))
     duration = config.duration_ticks
-    # a cohort is the sensors of one hub that share a period, in id order
-    cohorts: Dict[Tuple[int, int], List[Tuple[int, ReadingKind]]] = {}
-    for sensor_id in sorted(topology.ids_with_role(ROLE_SENSOR)):
-        node = nodes[sensor_id]
-        period = node.sense_period_ticks or config.sense_period_ticks
-        if period <= duration:
-            (hub_id,) = topology.neighbors(sensor_id) & hub_ids
-            cohorts.setdefault((hub_id, period), []).append((sensor_id, node.kind))
-    # (tick, stage, hub, period) is unique, so no comparison reaches a cohort
-    events = [
-        (period, SENSE, hub_id, period, _cohort_sensor(sensors, config.seed))
-        for (hub_id, period), sensors in cohorts.items()
-    ]
+    # each hub's sensors that fire within the run, (period, id, kind) in id
+    # order, cut into hub groups: runs of consecutive hubs, in id order, with
+    # at most _GROUP_SENSORS of them in all; a larger hub is a group alone
+    groups: List[List[Tuple[int, List[Tuple[int, int, ReadingKind]]]]] = []
+    size = 0
+    for hub_id in sorted(topology.ids_with_role(ROLE_HUB)):
+        sensors = []
+        for near in sorted(topology.neighbors(hub_id)):
+            node = nodes[near]
+            if node.role == ROLE_SENSOR:
+                period = node.sense_period_ticks or config.sense_period_ticks
+                if period <= duration:
+                    sensors.append((period, near, node.kind))
+        if not sensors:
+            continue
+        if not groups or size + len(sensors) > _GROUP_SENSORS:
+            groups.append([])
+            size = 0
+        groups[-1].append((hub_id, sensors))
+        size += len(sensors)
+    # a cohort is the sensors of one group that share a period, in (hub, id)
+    # order, and `cuts` slices each hub's readings, in group order, out of
+    # its firing.  (tick, stage, first hub, period) is unique, so no
+    # comparison reaches a cohort
+    events = []
+    for group in groups:
+        hub_ids = tuple(hub_id for hub_id, _ in group)
+        by_period: Dict[int, List[List[Tuple[int, ReadingKind]]]] = {}
+        for i, (_, sensors) in enumerate(group):
+            for period, sensor_id, kind in sensors:
+                if period not in by_period:
+                    by_period[period] = [[] for _ in group]
+                by_period[period][i].append((sensor_id, kind))
+        for period, per_hub in by_period.items():
+            ends = list(itertools.accumulate(map(len, per_hub)))
+            cuts = tuple(map(slice, [0, *ends], ends))
+            cohort = _cohort_sensor(list(itertools.chain(*per_hub)), config.seed)
+            events.append((period, SENSE, hub_ids[0], period, cohort, hub_ids, cuts))
     heapq.heapify(events)
     # ticks from a route's first node to its last, and that last node (a
     # hub's sink); routes never change
@@ -370,7 +406,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     # numbers batches in send order: it breaks ties between one sink's events
     # of one tick, and ends every comparison before the bytes and the batch
     ordinals = itertools.count()
-    batch: List[SensorReading] = []  # the readings of one hub on one tick
+    # per hub of one group, its readings of one tick
+    batches: List[List[SensorReading]] = []
 
     report = SimReport(
         readings_sensed=0,
@@ -387,36 +424,45 @@ def run_simulation(config: SimConfig) -> SimReport:
 
     # each event queues its followers for later ticks (periods and latency
     # are at least 1), so popping in heap order runs each tick's stages in
-    # order and the cohorts of one hub on one tick pop back to back; every
+    # order and the cohorts of one group on one tick pop back to back; every
     # event but a last sense or a receive replaces itself at the heap's top
     while events:
         event = events[0]
         stage = event[1]
         if stage == SENSE:
-            tick, _, hub_id, period, cohort = event
+            tick, _, first_hub, period, cohort, hub_ids, cuts = event
             if tick + period <= duration:
-                heapq.heapreplace(
-                    events, (tick + period, SENSE, hub_id, period, cohort)
-                )
+                heapq.heapreplace(events, (
+                    tick + period, SENSE, first_hub, period, cohort, hub_ids, cuts,
+                ))
             else:
                 heapq.heappop(events)
-            batch += cohort(tick)
-            # the batch waits for this hub's other cohorts of this tick, which
-            # pop next; the stage needs no check, since the third field of a
-            # transmit or a receive is a sink and node ids are unique across roles
-            if events and events[0][0] == tick and events[0][2] == hub_id:
+            readings = cohort(tick)
+            if batches:  # another cohort of this group fired on this tick
+                for batch, cut in zip(batches, cuts):
+                    batch += readings[cut]
+            else:
+                batches = [readings[cut] for cut in cuts]
+            # the batches wait for this group's other cohorts of this tick,
+            # which pop next; the stage needs no check, since the third field
+            # of a transmit or a receive is a sink and node ids are unique
+            # across roles
+            if events and events[0][0] == tick and events[0][2] == first_hub:
                 continue
-            report.readings_sensed += len(batch)
-            # cohorts arrive by period, not id.  A sensor has one hub and fires
-            # at most once a tick, so these node ids are unique: tuple order is
-            # _NODE_THEN_TIME order, every comparison ends at node_id, and no
-            # key is needed
-            batch.sort()
-            heapq.heappush(events, (
-                tick + transit[hub_id], TRANSMIT, route_end[hub_id],
-                next(ordinals), encode_readings(batch), batch,
-            ))
-            batch = []
+            for hub_id, batch in zip(hub_ids, batches):
+                if not batch:
+                    continue
+                report.readings_sensed += len(batch)
+                # cohorts arrive by period, not id.  A sensor has one hub and
+                # fires at most once a tick, so these node ids are unique:
+                # tuple order is _NODE_THEN_TIME order, every comparison ends
+                # at node_id, and no key is needed
+                batch.sort()
+                heapq.heappush(events, (
+                    tick + transit[hub_id], TRANSMIT, route_end[hub_id],
+                    next(ordinals), encode_readings(batch), batch,
+                ))
+            batches = []
         elif stage == TRANSMIT:
             tick, _, sink_id, ordinal, payload, carried = event
             stats = per_sink[sink_id]

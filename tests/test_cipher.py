@@ -283,13 +283,16 @@ def reference_pair(size, key_len):
     return plaintext, key, ref_encrypt(plaintext, key)
 
 
-@pytest.mark.parametrize("size", [_BULK - 1, _BULK, _BULK + 1])
-@pytest.mark.parametrize("key_len", [1, 2, 32])
+@pytest.mark.parametrize("key_len, size", [
+    *((key_len, size) for key_len in (1, 2, 32)
+      for size in (_BULK - 1, _BULK, _BULK + 1)),
+    *((1, size) for size in (1, 16, 776, 4096)),
+])
 @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
 @pytest.mark.parametrize("cipher", [encrypt, decrypt])
 def test_both_paths_return_bytes(size, key_len, wrap, cipher):
-    # a 1-byte key from _BULK up is one translate, which keeps the input's
-    # type; a memoryview has no translate at all
+    # a 1-byte key is one translate at every length, which keeps the
+    # input's type; a memoryview has no translate at all
     plaintext, key, ciphertext = reference_pair(size, key_len)
     given, want = plaintext, ciphertext
     if cipher is decrypt:

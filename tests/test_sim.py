@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import runpy
 from operator import attrgetter
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import sim_reference
 from sim_reference import ref_run_simulation
 
 from wsncrypt import sim
@@ -486,11 +488,98 @@ def small_networks(draw):
     )
 
 
+def report_and_frames(run, module, config):
+    """`run(config)`'s report as JSON, and every frame it encodes in
+    transmit order; `run` looks `encode_frame` up in `module`."""
+    frames = []
+    encode = module.encode_frame
+
+    def recording(frame):
+        frames.append(encode(frame))
+        return frames[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "encode_frame", recording)
+        report = run(config)
+    return json.dumps(report_to_dict(report)), frames
+
+
+def assert_matches_reference(config):
+    # frames too: two batches that swap sequence numbers keep every count
+    assert report_and_frames(run_simulation, sim, config) == report_and_frames(
+        ref_run_simulation, sim_reference, config
+    )
+
+
 @settings(deadline=None)
 @given(small_networks())
 def test_event_clock_matches_tick_by_tick_reference(config):
-    expected = json.dumps(report_to_dict(ref_run_simulation(config)))
-    assert json.dumps(report_to_dict(run_simulation(config))) == expected
+    assert_matches_reference(config)
+
+
+def grouped_config(hubs):
+    """Hubs 50001, 50002, ... behind sink 60000 and fusion center 60001, one
+    list of sensor periods per hub; sensor ids count from 1 across the hubs
+    and kinds cycle.  12 ticks, hop latency 1, bit 60 of frame 5 flipped."""
+    kinds = itertools.cycle(ReadingKind)
+    sensor_ids = itertools.count(1)
+    nodes = [NodeSpec(60000, "sink"), NodeSpec(60001, "fusion_center")]
+    edges, routes = [(60000, 60001)], {60000: (60000, 60001)}
+    for hub, periods in enumerate(hubs, start=50001):
+        nodes.append(NodeSpec(hub, "hub"))
+        edges.append((hub, 60000))
+        routes[hub] = (hub, 60000)
+        for period in periods:
+            sensor = next(sensor_ids)
+            nodes.append(NodeSpec(sensor, "sensor", next(kinds), period))
+            edges.append((sensor, hub))
+    keys = {60000: b"\x5a\x0f\xc3"}
+    return SimConfig(
+        topology=Topology(nodes=tuple(nodes), edges=tuple(edges), routes=routes),
+        sink_keys=keys,
+        registry=dict(keys),
+        seed=11,
+        duration_ticks=12,
+        sense_period_ticks=1,
+        hop_latency_ticks=1,
+        corruption=(FrameCorruption(frame_index=5, bit_index=60),),
+    )
+
+
+LIMIT = sim._GROUP_SENSORS
+
+
+# (hubs' sensor periods, cohorts built): one cohort per group and period
+@pytest.mark.parametrize("hubs, cohorts", [
+    # sizes L/2, L/2 | L/2 | L/2 + 1, 3: three groups, of 2, 4 and 2 periods
+    ([[1, 2] * (LIMIT // 4)] * 3 + [[3] * (LIMIT // 2 + 1), [2, 5, 7]], 8),
+    # the middle hub holds L + 2 sensors, so each hub is a group alone
+    ([[2, 3], [1, 4] * (LIMIT // 2 + 1), [3]], 5),
+    # one group; the middle hub's periods 2 and 3 meet on ticks 6 and 12,
+    # and the last hub's period-2 sensor joins their period-2 cohort
+    ([[5], [2, 3, 2, 3], [2, 6]], 4),
+], ids=["several-groups", "hub-above-limit", "coinciding-periods"])
+def test_hub_groups_match_reference(hubs, cohorts):
+    config = grouped_config(hubs)
+    built = []
+
+    def counting(sensors, seed):
+        built.append(len(sensors))
+        return _cohort_sensor(sensors, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_cohort_sensor", counting)
+        run_simulation(config)
+    assert (len(built), sum(built)) == (cohorts, sum(map(len, hubs)))
+    assert_matches_reference(config)
+
+
+@settings(deadline=None, max_examples=50)
+@given(small_networks(), st.integers(1, 6))
+def test_any_group_limit_matches_reference(config, limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_GROUP_SENSORS", limit)
+        assert_matches_reference(config)
 
 
 def test_cohorts_merged_on_one_tick_flush_in_id_order():
