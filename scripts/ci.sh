@@ -93,9 +93,22 @@ attack_experiment() {
 
 streamed_round_trip() {
     head -c 8388608 /dev/urandom > "$RUNNER_TEMP/f"
+    for key in 5a 00ff5a 000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f; do
+        wsncrypt encrypt --in "$RUNNER_TEMP/f" --key-hex "$key" --out "$RUNNER_TEMP/g"
+        wsncrypt decrypt --in "$RUNNER_TEMP/g" --key-hex "$key" --out "$RUNNER_TEMP/g"
+        cmp "$RUNNER_TEMP/f" "$RUNNER_TEMP/g"
+    done
+    # a named pipe as the input, whose reads come back short; the writer is
+    # killed on exit in case the reader failed before opening the pipe
     wsncrypt encrypt --in "$RUNNER_TEMP/f" --key-hex 00ff5a --out "$RUNNER_TEMP/g"
-    wsncrypt decrypt --in "$RUNNER_TEMP/g" --key-hex 00ff5a --out "$RUNNER_TEMP/g"
-    cmp "$RUNNER_TEMP/f" "$RUNNER_TEMP/g"
+    rm -f "$RUNNER_TEMP/p"
+    mkfifo "$RUNNER_TEMP/p"
+    cat "$RUNNER_TEMP/g" > "$RUNNER_TEMP/p" &
+    writer=$!
+    trap 'kill "$writer" 2>/dev/null || true' EXIT
+    wsncrypt decrypt --in "$RUNNER_TEMP/p" --key-hex 00ff5a --out "$RUNNER_TEMP/h"
+    wait "$writer"
+    cmp "$RUNNER_TEMP/f" "$RUNNER_TEMP/h"
 }
 
 demo_simulation() {
@@ -119,7 +132,7 @@ step "Tier-1 tests" tier1
 step "Installed console script (wsncrypt entry point)" console_script
 step "Installed console script attack (3-byte key ffffff, the last lane of the last pass)" console_script_attack
 step "Attack experiment (1- to 3-byte searches, key read off one block, effective keyspace)" attack_experiment
-step "Streamed file round trip (8 MiB, 3-byte key, decrypted in place)" streamed_round_trip
+step "Streamed file round trip (8 MiB under 1-, 3- and 32-byte keys, decrypted in place; then decrypted from a named pipe)" streamed_round_trip
 step "Demo simulation" demo_simulation
 step "Simulator scale ladder (77 to 60,301 nodes, reports against the benchmark's oracle)" sim_scale
 step "Benchmark tests" benchmark_tests

@@ -27,7 +27,7 @@ equal to them and to a bit-at-a-time reference.
 Output byte j depends only on input byte j and j mod L, so a caller may
 cut a long input into chunks whose lengths are multiples of L and cipher
 each on its own: the joined results equal one call on the whole input.
-The CLI streams files this way.
+The CLI streams files this way, each chunk into one reused `out` buffer.
 
 This is a toy cipher: one known plaintext block leaks the whole keystream
 (see `wsncrypt.keyspace`).  Do not use it to protect anything real.
@@ -145,39 +145,46 @@ def complement(bits: Sequence[int]) -> List[int]:
     return [b ^ 1 for b in bits]
 
 
-def _swap_not_xor(data: bytes, stream_key: bytes) -> bytes:
+def _swap_not_xor(data: bytes, stream_key: bytes, out=None):
     """Map byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j % L]``."""
     if type(data) is not bytes:
         data = _as_bytes(data)
-    step = len(stream_key)
+    step, n = len(stream_key), len(data)
+    if out is not None and len(out) < n:  # see `encrypt`
+        raise ValueError(f"out holds {len(out)} of the message's {n} bytes")
     if step == 1:
-        # translate keeps a bytearray's type; bytes() of a bytes is itself
-        return bytes(data.translate(_TABLES[stream_key[0]]))
-    n = len(data)
-    if n >= _BULK:
-        out = bytearray(n)
+        result = data.translate(_TABLES[stream_key[0]])
+    elif n < _BULK:
+        stream = (stream_key * -(-n // step))[:n]
+        value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")
+        result = (value ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+    else:  # each stream byte's table, straight into the output buffer
+        result = bytearray(n) if out is None else out
         for i, k in enumerate(stream_key):
-            out[i::step] = data[i::step].translate(_TABLES[k])
-        return bytes(out)
-    stream = (stream_key * -(-n // step))[:n]
-    value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")
-    return (value ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+            result[i:n:step] = data[i::step].translate(_TABLES[k])
+    if out is None:
+        return bytes(result)  # a translate keeps a bytearray's type
+    if result is not out:
+        out[:n] = result
+    return memoryview(out)[:n]
 
 
-def encrypt(plaintext: bytes, key: bytes) -> bytes:
+def encrypt(plaintext: bytes, key: bytes, out=None) -> bytes:
     """Encrypt: swap adjacent bits, XOR with the swapped key stream, invert.
 
     Equivalent to
     ``bits_to_bytes(complement(key_directed_xor(adjacent_swap(bytes_to_bits(
     plaintext)), adjacent_swap(bytes_to_bits(key)))))`` but byte-at-a-time.
+    Given `out`, a writable buffer no shorter than the plaintext (else
+    ValueError), fills its first n bytes and returns a memoryview of them.
     """
     key = _check_key(key)
     # ~swap(p ^ k) == SWAP_NOT[p] ^ swap(k): the swap is linear.
-    return _swap_not_xor(plaintext, key.translate(_SWAP_TABLE))
+    return _swap_not_xor(plaintext, key.translate(_SWAP_TABLE), out)
 
 
-def decrypt(ciphertext: bytes, key: bytes) -> bytes:
-    """Exact inverse of `encrypt` under the same key."""
+def decrypt(ciphertext: bytes, key: bytes, out=None) -> bytes:
+    """Exact inverse of `encrypt` under the same key; `out` as in `encrypt`."""
     key = _check_key(key)
     # swap(~c ^ swap(k)) == SWAP_NOT[c] ^ k.
-    return _swap_not_xor(ciphertext, key)
+    return _swap_not_xor(ciphertext, key, out)

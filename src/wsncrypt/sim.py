@@ -52,8 +52,6 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 from . import rng
 from .cipher import MAX_KEY_BYTES, decrypt, encrypt
 from .topology import (
-    ROLE_HUB,
-    ROLE_SENSOR,
     ROLE_SINK,
     NodeSpec,
     Topology,
@@ -313,14 +311,11 @@ def _validate_config(config: SimConfig) -> List[str]:
 def _worst_case_batches(topology: Topology) -> Dict[int, int]:
     """Bytes of each hub's batch when every adjacent sensor fires in one
     tick.  Needs a valid topology."""
-    nodes = topology.node_map()
     return {
         hub_id: COUNT_LEN + sum(
-            RECORD_HEADER_LEN + VALUE_LENGTHS[nodes[near].kind]
-            for near in topology.neighbors(hub_id)
-            if nodes[near].role == ROLE_SENSOR
+            RECORD_HEADER_LEN + VALUE_LENGTHS[sensor.kind] for sensor in sensors
         )
-        for hub_id in topology.ids_with_role(ROLE_HUB)
+        for hub_id, sensors in topology.hub_sensors().items()
     }
 
 
@@ -351,21 +346,19 @@ def run_simulation(config: SimConfig) -> SimReport:
     carried, checked frame by frame.
     """
     topology = config.topology
-    nodes = topology.node_map()
     duration = config.duration_ticks
     # each hub's sensors that fire within the run, (period, id, kind) in id
     # order, cut into hub groups: runs of consecutive hubs, in id order, with
     # at most _GROUP_SENSORS of them in all; a larger hub is a group alone
     groups: List[List[Tuple[int, List[Tuple[int, int, ReadingKind]]]]] = []
     size = 0
-    for hub_id in sorted(topology.ids_with_role(ROLE_HUB)):
+    hub_sensors = topology.hub_sensors()
+    for hub_id in sorted(hub_sensors):
         sensors = []
-        for near in sorted(topology.neighbors(hub_id)):
-            node = nodes[near]
-            if node.role == ROLE_SENSOR:
-                period = node.sense_period_ticks or config.sense_period_ticks
-                if period <= duration:
-                    sensors.append((period, near, node.kind))
+        for node in hub_sensors[hub_id]:
+            period = node.sense_period_ticks or config.sense_period_ticks
+            if period <= duration:
+                sensors.append((period, node.id, node.kind))
         if not sensors:
             continue
         if not groups or size + len(sensors) > _GROUP_SENSORS:

@@ -69,6 +69,17 @@ class Topology:
             by_role.setdefault(n.role, []).append(n.id)
         return {role: tuple(ids) for role, ids in by_role.items()}
 
+    @cached_property
+    def _hub_sensors(self) -> Dict[int, Tuple[NodeSpec, ...]]:
+        nodes = self._node_index
+        return {
+            hub_id: tuple(
+                nodes[near] for near in sorted(self.neighbors(hub_id))
+                if nodes[near].role == ROLE_SENSOR
+            )
+            for hub_id in self.ids_with_role(ROLE_HUB)
+        }
+
     def node_map(self) -> Mapping[int, NodeSpec]:
         return MappingProxyType(self._node_index)
 
@@ -83,6 +94,11 @@ class Topology:
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self.neighbors(a)
+
+    def hub_sensors(self) -> Mapping[int, Tuple[NodeSpec, ...]]:
+        """Each hub's adjacent sensors in id order, by hub in node order.
+        Needs a valid topology."""
+        return MappingProxyType(self._hub_sensors)
 
 
 def validate_topology(topology: Topology) -> List[str]:

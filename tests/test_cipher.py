@@ -302,6 +302,51 @@ def test_both_paths_return_bytes(size, key_len, wrap, cipher):
     assert result == want
 
 
+# -- into a caller's buffer (`out`) ----------------------------------------------
+
+OUT_SIZES = [0, 16, _BULK - 1, _BULK, _BULK + 1]
+
+
+@pytest.mark.parametrize("size", OUT_SIZES)
+@pytest.mark.parametrize("key_len", [1, 3, 32])
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_out_holds_the_bytes_of_a_call_without_it(size, key_len, wrap, cipher):
+    rng = random.Random(size * 33 + key_len)
+    message, key = rng.randbytes(size), rng.randbytes(key_len)
+    out = bytearray(size)
+    result = cipher(wrap(message), key, out=out)
+    assert type(result) is memoryview
+    assert result.obj is out
+    assert result == out == cipher(message, key)
+
+
+@pytest.mark.parametrize("size", OUT_SIZES)
+@pytest.mark.parametrize("key_len", [1, 3, 32])
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_out_past_the_message_is_left_alone(size, key_len, cipher):
+    # as the CLI reuses one buffer: a long message, then a shorter one
+    rng = random.Random(size * 33 + key_len)
+    first, second = rng.randbytes(size + 40), rng.randbytes(size)
+    key = rng.randbytes(key_len)
+    out = bytearray(b"\xa5" * (size + 50))
+    cipher(first, key, out=out)
+    assert out == cipher(first, key) + b"\xa5" * 10
+    result = cipher(second, key, out=out)
+    assert len(result) == size
+    assert out == cipher(second, key) + cipher(first, key)[size:] + b"\xa5" * 10
+
+
+@pytest.mark.parametrize("size", [1, 16, _BULK, _BULK + 1])
+@pytest.mark.parametrize("key_len", [1, 3])
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_out_shorter_than_the_message_is_rejected(size, key_len, cipher):
+    out = bytearray(b"\xa5" * (size - 1))
+    with pytest.raises(ValueError, match=f"out holds {size - 1} of the message's"):
+        cipher(bytes(size), bytes(key_len), out=out)
+    assert out == b"\xa5" * (size - 1)
+
+
 @pytest.mark.parametrize("size", [10, _BULK + 8])
 @pytest.mark.parametrize("cipher", [encrypt, decrypt])
 def test_a_wide_memoryview_is_read_as_its_bytes(size, cipher):

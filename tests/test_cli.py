@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -256,12 +258,76 @@ def test_streamed_file_matches_bit_at_a_time_reference(tmp_path):
                          [("encrypt", encrypt), ("decrypt", decrypt)])
 def test_streamed_file_to_stdout_is_one_hex_line(command, operation, tmp_path,
                                                  capsys):
-    key = b"\x00\xff\x5a"
-    payload = _payload(3 * _step(key) + 5)
     source = tmp_path / "in.bin"
+    for key in (b"\x5a", b"\x00\xff\x5a", bytes(range(0x5A, 0x7A))):
+        payload = _payload(3 * _step(key) + 5)
+        source.write_bytes(payload)
+        assert run([command, "--in", str(source), "--key-hex", key.hex()]) == 0
+        assert capsys.readouterr().out == operation(payload, key).hex() + "\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("key_len", [3, 32])
+@pytest.mark.parametrize("command, operation",
+                         [("encrypt", encrypt), ("decrypt", decrypt)])
+def test_input_pipe_fed_in_odd_sized_writes(command, operation, key_len,
+                                            tmp_path):
+    # a pipe's reads come back short; every chunk must still start at a
+    # multiple of the key length
+    key = bytes(range(0x5A, 0x5A + key_len))
+    pipe, target = tmp_path / "pipe", tmp_path / "out.bin"
+    payload = _payload(3 * _step(key) + 5)
+    os.mkfifo(pipe)
+
+    def feed():
+        sizes = itertools.cycle([1, 4097, 65_537, 7, 100_003, 13])
+        with open(pipe, "wb", buffering=0) as handle:
+            view = memoryview(payload)
+            while view:
+                view = view[handle.write(view[:next(sizes)]):]
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    code = run([command, "--in", str(pipe), "--key-hex", key.hex(),
+                "--out", str(target)])
+    writer.join(timeout=10)
+    assert code == 0
+    assert not writer.is_alive()
+    assert target.read_bytes() == operation(payload, key)
+
+
+def test_chunks_go_through_the_module_level_cipher(tmp_path, monkeypatch):
+    # wrappers of `cli.encrypt`, such as a tracer's, see every chunk
+    calls = []
+
+    def counted(data, key, **kwargs):
+        calls.append(len(data))
+        return encrypt(data, key, **kwargs)
+
+    monkeypatch.setattr(cli, "encrypt", counted)
+    source, target = tmp_path / "in.bin", tmp_path / "out.bin"
+    payload = _payload(2 * _step(b"\x5a") + 5)
     source.write_bytes(payload)
-    assert run([command, "--in", str(source), "--key-hex", key.hex()]) == 0
-    assert capsys.readouterr().out == operation(payload, key).hex() + "\n"
+    assert run(["encrypt", "--in", str(source), "--key-hex", "5a",
+                "--out", str(target)]) == 0
+    assert calls == [_step(b"\x5a")] * 2 + [5]
+    assert target.read_bytes() == encrypt(payload, b"\x5a")
+
+
+def test_small_file_allocates_no_chunk_sized_buffer(tmp_path):
+    source, target = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(_payload(1024))
+    argv = ["encrypt", "--in", str(source), "--key-hex", "00ff5a",
+            "--out", str(target)]
+    assert run(argv) == 0  # builds the parser before anything is measured
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cli._CHUNK // 4
+    assert target.read_bytes() == encrypt(_payload(1024), b"\x00\xff\x5a")
 
 
 def test_empty_input_file_gives_empty_output_file(tmp_path, capsys):
@@ -341,32 +407,53 @@ def test_failed_replace_keeps_old_output(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["in.bin", "out.bin"]
 
 
-def test_failed_read_keeps_old_output(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "out.bin"
-    out.write_bytes(b"old")
+class _FailingRead:
+    """An opened input whose `failing`-th read raises, as a bad disk would."""
+
+    def __init__(self, handle, failing):
+        self.handle, self.failing, self.reads = handle, failing, 0
+
+    def fileno(self):
+        return self.handle.fileno()
+
+    def readinto(self, buffer):
+        self.reads += 1
+        if self.reads == self.failing:
+            raise OSError(5, "Input/output error")
+        return self.handle.readinto(buffer)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def _fail_read(monkeypatch, failing):
+    """Make the CLI's `failing`-th read of its input raise."""
     real_open = open
-
-    class FailingSecondRead:
-        def __init__(self, handle):
-            self.handle, self.reads = handle, 0
-
-        def read(self, size=-1):
-            self.reads += 1
-            if self.reads == 2:
-                raise OSError(5, "Input/output error")
-            return self.handle.read(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.handle.close()
 
     def failing_open(path, mode="r", *args, **kwargs):
         handle = real_open(path, mode, *args, **kwargs)
-        return FailingSecondRead(handle) if mode == "rb" else handle
+        return _FailingRead(handle, failing) if mode == "rb" else handle
 
     monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+
+def test_failed_read_keeps_old_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old")
+    _fail_read(monkeypatch, 2)  # after one chunk went to the temporary file
+    assert _codec_into(tmp_path, out) == 3
+    assert "error: cannot read input: " in capsys.readouterr().err
+    assert out.read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == ["in.bin", "out.bin"]
+
+
+def test_failed_first_read_keeps_old_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old")
+    _fail_read(monkeypatch, 1)
     assert _codec_into(tmp_path, out) == 3
     assert "error: cannot read input: " in capsys.readouterr().err
     assert out.read_bytes() == b"old"

@@ -141,6 +141,25 @@ def test_topology_lookups_are_read_only_views():
     assert list(topo.ids_with_role("relay")) == []
 
 
+def test_hub_sensors_are_in_id_order_by_hub_in_node_order():
+    # a hub with no sensor is kept; a relay or sink neighbour is left out
+    scalar, audio = ReadingKind.SCALAR, ReadingKind.AUDIO
+    topo = Topology(
+        nodes=(NodeSpec(20, "hub"), NodeSpec(7, "sensor", scalar),
+               NodeSpec(10, "hub"), NodeSpec(5, "sensor", audio),
+               NodeSpec(3, "sensor", scalar), NodeSpec(30, "sink"),
+               NodeSpec(40, "relay"), NodeSpec(12, "hub")),
+        edges=((20, 7), (10, 5), (3, 10), (10, 40), (20, 30), (10, 30), (12, 30)),
+        routes={},
+    )
+    sensors = topo.hub_sensors()
+    assert list(sensors) == [20, 10, 12]
+    assert [[node.id for node in sensors[hub]] for hub in sensors] == [[7], [3, 5], []]
+    assert sensors[10][1] == NodeSpec(5, "sensor", audio)
+    with pytest.raises(TypeError):
+        sensors[20] = ()
+
+
 # -- sense ------------------------------------------------------------------------
 
 
@@ -167,11 +186,18 @@ def test_sense_values_rarely_repeat():
     assert len(values) >= 990
 
 
+# run_simulation builds cohorts of up to _GROUP_SENSORS sensors, more for a
+# hub that has more on its own
 @given(
     st.lists(st.tuples(st.integers(0, 0xFFFF), st.sampled_from(list(ReadingKind))),
-             min_size=1, max_size=64),
+             min_size=1, max_size=sim._GROUP_SENSORS + 2),
     st.integers(1, 0xFFFFFFFF),
     st.integers(0, (1 << 64) - 1),
+)
+@example(
+    [(0xFFFF - i, list(ReadingKind)[i % len(ReadingKind)])
+     for i in range(sim._GROUP_SENSORS + 2)],
+    0xFFFFFFFF, (1 << 64) - 1,
 )
 def test_cohort_sensing_equals_sense(cohort, tick, seed):
     readings = _cohort_sensor(cohort, seed)(tick)
