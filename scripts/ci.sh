@@ -131,7 +131,7 @@ step "Install" install
 step "Tier-1 tests" tier1
 step "Installed console script (wsncrypt entry point)" console_script
 step "Installed console script attack (3-byte key ffffff, the last lane of the last pass)" console_script_attack
-step "Attack experiment (1- to 3-byte searches, key read off one block, effective keyspace)" attack_experiment
+step "Attack experiment (1- to 3-byte searches, structure-blind trial rate and 64-bit years, key read off one block, effective keyspace)" attack_experiment
 step "Streamed file round trip (8 MiB under 1-, 3- and 32-byte keys, decrypted in place; then decrypted from a named pipe)" streamed_round_trip
 step "Demo simulation" demo_simulation
 step "Simulator scale ladder (77 to 60,301 nodes, reports against the benchmark's oracle)" sim_scale

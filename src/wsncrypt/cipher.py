@@ -158,8 +158,9 @@ def _swap_not_xor(data: bytes, stream_key: bytes, out=None):
         stream = (stream_key * -(-n // step))[:n]
         value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")
         result = (value ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
-    else:  # each stream byte's table, straight into the output buffer
-        result = bytearray(n) if out is None else out
+    else:  # each stream byte's table, into a bytearray: a memoryview takes
+        # an extended slice element by element, so it gets one copy below
+        result = out if type(out) is bytearray else bytearray(n)
         for i, k in enumerate(stream_key):
             result[i:n:step] = data[i::step].translate(_TABLES[k])
     if out is None:

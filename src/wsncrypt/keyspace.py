@@ -15,8 +15,10 @@ one known block at least as long as the key leaves exactly one key of that
 length, so the effective keyspace of a known-plaintext attack is 1, whatever
 the nominal 2**(8 * L).
 
-`exhaustive_search` is the brute-force rate meter, so it scans the way a
-careful attacker would: many candidates per machine operation.
+`exhaustive_search` scans short keys, smallest first, many candidates per
+machine operation.  That scan leans on the cipher being linear in the key,
+so its rate is not a brute force's: `estimate_brute_force` is fed the rate
+of a trial loop blind to the cipher, one `encrypt` and one compare per key.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ SECONDS_PER_YEAR = 86400 * 365
 MODE_AVERAGE = "average"
 MODE_WORST_CASE = "worst_case"
 
-MAX_SEARCH_KEY_BYTES = 3  # keeps the scan within 2**24 candidates
+# `wsncrypt attack --key-bytes 4` exits 2, and the scan, like the scan of
+# every candidate that the search is tested against, stays within 2**24.
+MAX_SEARCH_KEY_BYTES = 3
 
 # Candidates tested per pass of the exhaustive scan.  A power of two that
 # divides 2**(8 * L) for every searched key length L, so the last pass ends on
@@ -220,6 +224,8 @@ def exhaustive_search(
         raise KeyLengthOutOfRangeError(
             f"key_length_bytes must be in 1..{MAX_SEARCH_KEY_BYTES}"
         )
+    # lengths in bytes, not in a wide memoryview's items
+    known_plaintext, ciphertext = _as_bytes(known_plaintext), _as_bytes(ciphertext)
     if (
         len(known_plaintext) != len(ciphertext)
         or len(known_plaintext) < key_length_bytes

@@ -324,6 +324,19 @@ def test_out_holds_the_bytes_of_a_call_without_it(size, key_len, wrap, cipher):
 @pytest.mark.parametrize("size", OUT_SIZES)
 @pytest.mark.parametrize("key_len", [1, 3, 32])
 @pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_out_may_be_a_memoryview(size, key_len, cipher):
+    # the bulk path ciphers into a bytearray and copies it into the view once
+    rng = random.Random(size * 33 + key_len)
+    message, key = rng.randbytes(size), rng.randbytes(key_len)
+    buffer = bytearray(b"\xa5" * (size + 8))
+    result = cipher(message, key, out=memoryview(buffer))
+    assert result == cipher(message, key)
+    assert buffer == cipher(message, key) + b"\xa5" * 8
+
+
+@pytest.mark.parametrize("size", OUT_SIZES)
+@pytest.mark.parametrize("key_len", [1, 3, 32])
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
 def test_out_past_the_message_is_left_alone(size, key_len, cipher):
     # as the CLI reuses one buffer: a long message, then a shorter one
     rng = random.Random(size * 33 + key_len)

@@ -296,7 +296,11 @@ def test_recover_key_without_length_gives_the_shortest_equivalent_key():
     assert recover_key(plaintext, encrypt(plaintext, key)) == key
 
 
-@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+@pytest.mark.parametrize("wrap", [
+    bytearray, memoryview,
+    # len() of a wide memoryview counts its items, not its bytes
+    pytest.param(lambda b: memoryview(b).cast("H"), id="wide-memoryview"),
+])
 def test_attacks_take_any_bytes_like_block(wrap):
     key = bytes.fromhex("a1b2")
     plaintext = random.Random(3).randbytes(40)
@@ -305,6 +309,7 @@ def test_attacks_take_any_bytes_like_block(wrap):
     assert recover_key(*pair) == recover_key(*pair, 2) == key
     assert recover_keystream(*pair) == recover_keystream(plaintext, ciphertext)
     assert exhaustive_search(*pair, 2) == key
+    assert exhaustive_search(pair[0], ciphertext, 2) == key
 
 
 def test_recover_key_refuses_a_block_no_key_fits():
@@ -475,6 +480,11 @@ def test_attack_experiment_script():
     done = subprocess.run(
         [sys.executable, str(script), "--instances", "2", "--max-key-bytes", "1"],
         capture_output=True, text=True, check=True,
+    )
+    assert re.search(
+        r"^structure-blind trial rate: [\d,]+ keys/s \([\d,]+ trials, one encrypt"
+        r" of a 16-byte block and one compare each\)$",
+        done.stdout, re.MULTILINE,
     )
     assert re.search(
         r"^at that rate, an average 64-bit search takes [\d,]+ years$",
