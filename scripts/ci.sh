@@ -80,6 +80,22 @@ console_script() {
     wsncrypt simulate --config configs/demo.json
     wsncrypt simulate --config configs/demo.json --report "$RUNNER_TEMP/r.json"
     python -c "import json,sys; json.load(open(sys.argv[1]))" "$RUNNER_TEMP/r.json"
+    # the demo under a 32-byte sink key that the fusion center holds with
+    # key byte 2 flipped in one bit: every frame decrypts to a batch that
+    # still parses, so nothing is rejected, yet the run must fail fidelity
+    python -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+key = bytes(range(1, 33))
+doc["keys"] = {"30": key.hex()}
+doc["fusion_registry"] = {"30": (key[:2] + bytes([key[2] ^ 0x40]) + key[3:]).hex()}
+json.dump(doc, open(sys.argv[2], "w"))
+' configs/demo.json "$RUNNER_TEMP/misregistered.json"
+    code=0
+    wsncrypt simulate --config "$RUNNER_TEMP/misregistered.json" > "$RUNNER_TEMP/m.json" || code=$?
+    test "$code" -eq 1
+    grep -qF '"frames_rejected": {}' "$RUNNER_TEMP/m.json"
+    grep -qF '"fidelity_ok": false' "$RUNNER_TEMP/m.json"
 }
 
 console_script_attack() {

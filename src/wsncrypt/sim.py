@@ -18,12 +18,16 @@ at most _GROUP_SENSORS sensors in all (a larger hub is a group alone).  A
 sense event, keyed by its group's first hub id and its period, fires a
 cohort: the sensors of one group that share a period.  Each of their value
 words has its own 128-bit lane of one integer, so `rng.mix64_lanes` derives
-every value of a firing in a few whole-integer operations, byte for byte
-what `sense` gives sensor by sensor, and a group pays a firing's fixed cost
-once for all its hubs.  Two cohorts of one group may fire on one tick; after
-the last, each hub of the group, in id order, sorts its readings by node id
-and sends them as its batch, encoded directly, byte for byte what
-`aggregate` gives.
+every value of a firing in a few whole-integer operations, and a group pays
+a firing's fixed cost once for all its hubs.  A firing yields each sensor's
+encoded batch record, byte for byte `sense`'s reading as `encode_readings`
+writes it; no reading is built.  Two cohorts of one group may fire on one
+tick; after the last, each hub of the group, in id order, sorts its records
+(a record starts with its node id, big-endian, so byte order is node id
+order) and sends their count and the records as its batch, byte for byte
+what `aggregate` gives.  The fusion center decrypts and parses every frame
+it accepts, and the run checks the decrypted batch against the bytes its
+hub sent.
 
 The whole run is a pure function of SimConfig: sensor values come from the
 seeded mixer in `wsncrypt.rng` and the event order is total, so two runs of
@@ -68,6 +72,8 @@ from .wire import (
     ReadingKind,
     SensorReading,
     WireError,
+    _COUNT,
+    _RECORD,
     decode_frame,
     decode_readings,
     encode_frame,
@@ -83,6 +89,12 @@ VALUE_LENGTHS = {
 # derive_bytes's (i * GOLDEN) for each word i of a value of each kind
 _WORD_STEPS = {
     kind: [(i * rng.GOLDEN) & rng.MASK64 for i in range(1, -(-length // 8) + 1)]
+    for kind, length in VALUE_LENGTHS.items()
+}
+# the struct codes that cut a value of each kind out of its words: the
+# value, then the rest of its last word
+_VALUE_CODES = {
+    kind: f"{length}s{8 * len(_WORD_STEPS[kind]) - length}x"
     for kind, length in VALUE_LENGTHS.items()
 }
 
@@ -168,44 +180,52 @@ def sense(node_id: int, kind: ReadingKind, tick: int, seed: int) -> SensorReadin
 
 def _cohort_sensor(
     sensors: Sequence[Tuple[int, ReadingKind]], seed: int
-) -> Callable[[int], List[SensorReading]]:
-    """Sensing for a cohort: returns `at(tick)`, which equals
-    `[sense(n, k, tick, seed) for n, k in sensors]` for ticks 1..0xFFFFFFFF.
+) -> Callable[[int], List[bytes]]:
+    """Sensing for a cohort: returns `at(tick)`, which equals each sensor's
+    `sense(n, k, tick, seed)` encoded as its batch record, in `sensors`
+    order, for ticks 1..0xFFFFFFFF.
 
     Every value word of every sensor gets its own 128-bit lane of one
     integer, so a firing runs `sense`'s two mixes over all the words at once
-    (`rng.mix64_lanes`), makes one `to_bytes`, and cuts every value out of it
-    with one `struct.Struct`.
+    (`rng.mix64_lanes`) and makes one `to_bytes`.  The record headers are
+    one more integer, which takes the tick into every timestamp field in one
+    multiply-add, and one `struct.Struct` cuts every header and every value
+    out of the two byte strings.
     """
-    ids = tuple(node_id for node_id, _ in sensors)
-    kinds = tuple(kind for _, kind in sensors)
     stream_ids: List[int] = []  # per word, its sensor's (node_id << 32)
     steps: List[int] = []  # per word, derive_bytes's i * GOLDEN
-    layout = []  # per sensor, its value, then the rest of its last word
+    heads = []  # per sensor, its record header at tick 0
     for node_id, kind in sensors:
         kind_steps = _WORD_STEPS[kind]
         stream_ids += [node_id << 32] * len(kind_steps)
         steps += kind_steps
-        length = VALUE_LENGTHS[kind]
-        layout.append(f"{length}s{8 * len(kind_steps) - length}x")
-    values = struct.Struct(">" + "".join(layout)).unpack
+        heads.append(_RECORD.pack(node_id, 0, kind, VALUE_LENGTHS[kind]))
+    count = len(sensors)
+    # cuts every header, then every value
+    parts = struct.Struct(
+        ">" + f"{RECORD_HEADER_LEN}s" * count
+        + "".join([_VALUE_CODES[kind] for _, kind in sensors])
+    ).unpack
+    # every header at tick 0, and a 1 in every header's timestamp field
+    headers = int.from_bytes(b"".join(heads), "big")
+    timestamps = int.from_bytes(_RECORD.pack(0, 1, 0, 0) * count, "big")
+    head_size = RECORD_HEADER_LEN * count
     ones = _lanes([1] * len(steps))
     base, golden = _lanes(stream_ids), _lanes(steps)
     mask = ones * rng.MASK64
     seeds = rng.mix64(seed) * ones
     size = 16 * len(steps)
-    new = tuple.__new__  # builds the same tuple as SensorReading(...), faster
-    repeat = itertools.repeat
+    add = operator.add
 
-    def at(tick: int) -> List[SensorReading]:
+    def at(tick: int) -> List[bytes]:
         # each lane's stream seed, then its derive_bytes word
         x = rng.mix64_lanes(base + tick * ones, mask) ^ seeds
         x = rng.mix64_lanes(x + golden, mask)
         # big-endian, each lane's empty high half comes first: drop them
         stream = memoryview(x.to_bytes(size, "big")).cast("Q")[1::2].tobytes()
-        return list(map(
-            new, repeat(SensorReading), zip(ids, repeat(tick), kinds, values(stream))
-        ))
+        # a u32 tick carries into no other field of a header
+        cut = parts((headers + tick * timestamps).to_bytes(head_size, "big") + stream)
+        return list(map(add, cut[:count], cut[count:]))
 
     return at
 
@@ -247,18 +267,33 @@ def fusion_receive(
     """Decode, key-select, decrypt, and re-parse one received frame.
 
     Raises a DecodeError subclass (a wire one, UnknownSinkError, or
-    DecodeAfterDecryptError); callers count those as rejections.
+    DecodeAfterDecryptError); callers count those as rejections.  The two
+    halves, frame to plaintext (`_open_frame`) and plaintext to readings
+    (`_parse_batch`), are the ones `run_simulation` calls, so that it can
+    compare the plaintext with the batch its hub sent.
     """
+    return _parse_batch(*_open_frame(frame_bytes, registry))
+
+
+def _open_frame(
+    frame_bytes: bytes, registry: Mapping[int, bytes]
+) -> Tuple[int, bytes]:
+    """`fusion_receive`'s first half: the frame's sink id and its decrypted
+    payload."""
     frame = decode_frame(frame_bytes)
     key = registry.get(frame.sink_id)
     if key is None:
         raise UnknownSinkError(f"no key registered for sink {frame.sink_id}")
-    plaintext = decrypt(frame.payload, key)
+    return frame.sink_id, decrypt(frame.payload, key)
+
+
+def _parse_batch(sink_id: int, plaintext: bytes) -> List[SensorReading]:
+    """`fusion_receive`'s second half: the readings of a decrypted payload."""
     try:
         return decode_readings(plaintext)
     except WireError as exc:
         raise DecodeAfterDecryptError(
-            f"payload from sink {frame.sink_id} decrypted but failed to"
+            f"payload from sink {sink_id} decrypted but failed to"
             f" parse: {exc}"
         ) from exc
 
@@ -342,8 +377,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     The config was validated when it was built.  Sensing stops after
     `duration_ticks`; in-flight batches and frames are drained afterwards
     so nothing is cut off mid-route.  `fidelity_ok` is true iff no frame
-    was rejected and every delivered frame yielded exactly the readings it
-    carried, checked frame by frame.
+    was rejected and every delivered frame decrypted to exactly the batch
+    its hub sent, checked frame by frame.  The codec is canonical, so for a
+    frame that parses this holds exactly when its readings are the ones its
+    hub sensed.
     """
     topology = config.topology
     duration = config.duration_ticks
@@ -397,10 +434,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     for hook in config.corruption:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
     # numbers batches in send order: it breaks ties between one sink's events
-    # of one tick, and ends every comparison before the bytes and the batch
+    # of one tick, and ends every comparison before the bytes
     ordinals = itertools.count()
-    # per hub of one group, its readings of one tick
-    batches: List[List[SensorReading]] = []
+    # per hub of one group, its encoded records of one tick
+    batches: List[List[bytes]] = []
 
     report = SimReport(
         readings_sensed=0,
@@ -430,12 +467,12 @@ def run_simulation(config: SimConfig) -> SimReport:
                 ))
             else:
                 heapq.heappop(events)
-            readings = cohort(tick)
+            records = cohort(tick)
             if batches:  # another cohort of this group fired on this tick
                 for batch, cut in zip(batches, cuts):
-                    batch += readings[cut]
+                    batch += records[cut]
             else:
-                batches = [readings[cut] for cut in cuts]
+                batches = [records[cut] for cut in cuts]
             # the batches wait for this group's other cohorts of this tick,
             # which pop next; the stage needs no check, since the third field
             # of a transmit or a receive is a sink and node ids are unique
@@ -447,17 +484,18 @@ def run_simulation(config: SimConfig) -> SimReport:
                     continue
                 report.readings_sensed += len(batch)
                 # cohorts arrive by period, not id.  A sensor has one hub and
-                # fires at most once a tick, so these node ids are unique:
-                # tuple order is _NODE_THEN_TIME order, every comparison ends
-                # at node_id, and no key is needed
+                # fires at most once a tick, so the node ids, each record's
+                # first two bytes, big-endian, are unique: byte order is
+                # _NODE_THEN_TIME order, and the batch is `aggregate`'s
                 batch.sort()
+                payload = _COUNT.pack(len(batch)) + b"".join(batch)
                 heapq.heappush(events, (
                     tick + transit[hub_id], TRANSMIT, route_end[hub_id],
-                    next(ordinals), encode_readings(batch), batch,
+                    next(ordinals), payload,
                 ))
             batches = []
         elif stage == TRANSMIT:
-            tick, _, sink_id, ordinal, payload, carried = event
+            tick, _, sink_id, ordinal, payload = event
             stats = per_sink[sink_id]
             # a sink's frame count is its next sequence number, and the
             # run's frame count the next frame's corruption index
@@ -471,15 +509,16 @@ def run_simulation(config: SimConfig) -> SimReport:
             report.frames_sent += 1
             stats.frames_sent += 1
             heapq.heapreplace(events, (
-                tick + transit[sink_id], RECEIVE, sink_id, ordinal, encoded, carried,
+                tick + transit[sink_id], RECEIVE, sink_id, ordinal, encoded, payload,
             ))
         else:
-            _, _, origin_sink, _, encoded, carried = heapq.heappop(events)
+            _, _, origin_sink, _, encoded, payload = heapq.heappop(events)
             stats = per_sink[origin_sink]
             report.frames_delivered += 1
             stats.frames_delivered += 1
             try:
-                readings = fusion_receive(encoded, registry)
+                frame_sink, plaintext = _open_frame(encoded, registry)
+                readings = _parse_batch(frame_sink, plaintext)
             except DecodeError as exc:
                 kind = exc.kind
                 report.frames_rejected[kind] = (
@@ -488,7 +527,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 stats.frames_rejected += 1
                 report.fidelity_ok = False
             else:
-                if readings != carried:
+                if plaintext != payload:
                     report.fidelity_ok = False
                 report.readings_recovered += len(readings)
                 stats.readings_recovered += len(readings)

@@ -15,6 +15,7 @@ from reference import ref_encrypt
 
 import wsncrypt.cli as cli
 from wsncrypt.cipher import _BULK, decrypt, encrypt
+from wsncrypt.sim import InvalidConfigError, config_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_PATH = ROOT / "configs" / "demo.json"
@@ -805,6 +806,54 @@ def test_simulate_unregistered_sink_fails_fidelity(tmp_path, capsys):
     assert run(["simulate", "--config", str(config_path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["frames_rejected"] == {"unknown_sink": 10}
+
+
+def test_simulate_misregistered_key_fails_fidelity_without_rejecting(tmp_path,
+                                                                     capsys):
+    """The fusion center's key differs from the sink's in one bit of key
+    byte 2: every frame decrypts to a batch that still parses, so nothing is
+    rejected and every reading is "recovered", but none is the one sent."""
+    key = bytes(range(1, 33))
+    misregistered = bytearray(key)
+    misregistered[2] ^= 0x40
+    doc = json.loads(CONFIG_PATH.read_text())
+    doc["keys"] = {"30": key.hex()}
+    doc["fusion_registry"] = {"30": misregistered.hex()}
+    config_path = tmp_path / "misregistered.json"
+    config_path.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", str(config_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["frames_sent"], report["frames_delivered"]) == (10, 10)
+    assert report["frames_rejected"] == {}
+    assert report["readings_recovered"] == 20
+    assert report["fidelity_ok"] is False
+
+
+# one minimal change to the demo config per check, each the only problem it
+# makes.  A node id or tick past its bound would otherwise reach a run,
+# which packs both into fixed-width record fields
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.update(duration_ticks=1 << 32),
+     "duration_ticks must fit u32 timestamps"),
+    (lambda doc: doc.update(seed=1 << 64), "seed must fit u64"),
+    (lambda doc: doc["edges"].append([20, 20]), "self-loop edge on node 20"),
+    (lambda doc: doc["nodes"].append({"id": 98, "role": "fusion_center"}),
+     "multiple fusion centers: [98, 99]"),
+    (lambda doc: doc["nodes"].append({"id": 1 << 16, "role": "relay"}),
+     "node id 65536 does not fit u16"),
+], ids=["duration", "seed", "self-loop", "fusion-centers", "node-id"])
+def test_each_validation_bound_is_one_error_line_and_exit_2(change, message,
+                                                            tmp_path, capsys):
+    doc = json.loads(CONFIG_PATH.read_text())
+    change(doc)
+    with pytest.raises(InvalidConfigError) as raised:
+        config_from_dict(doc)
+    assert raised.value.problems == [message]
+    config_path = tmp_path / "invalid.json"
+    config_path.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_simulate_missing_config_is_usage_error(tmp_path):

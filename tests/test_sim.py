@@ -35,6 +35,7 @@ from wsncrypt.sim import (
 )
 from wsncrypt.topology import NodeSpec, Topology, validate_topology
 from wsncrypt.wire import (
+    COUNT_LEN,
     HEADER_LEN,
     MAX_PAYLOAD,
     BadMagicError,
@@ -200,9 +201,10 @@ def test_sense_values_rarely_repeat():
     0xFFFFFFFF, (1 << 64) - 1,
 )
 def test_cohort_sensing_equals_sense(cohort, tick, seed):
-    readings = _cohort_sensor(cohort, seed)(tick)
-    assert readings == [sense(n, k, tick, seed) for n, k in cohort]
-    assert all(type(r) is SensorReading for r in readings)
+    records = _cohort_sensor(cohort, seed)(tick)
+    assert records == [
+        encode_readings([sense(n, k, tick, seed)])[COUNT_LEN:] for n, k in cohort
+    ]
 
 
 # -- aggregate ----------------------------------------------------------------------
@@ -645,7 +647,8 @@ def test_cohorts_merged_on_one_tick_flush_in_id_order():
 @settings(max_examples=25, deadline=None)
 def test_flush_encodes_each_batch_in_node_then_time_order(periods):
     """Whichever of the hub's cohorts fire on a tick, the batch it flushes
-    reaches encode_readings sorted by (node_id, timestamp)."""
+    is `aggregate` of the hub's readings of that tick, so it decodes in
+    (node_id, timestamp) order."""
     kinds = [ReadingKind.SCALAR, ReadingKind.VIDEO, ReadingKind.AUDIO] * 2
     sensors = [
         NodeSpec(sensor, "sensor", kind, period)
@@ -666,19 +669,27 @@ def test_flush_encodes_each_batch_in_node_then_time_order(periods):
         sense_period_ticks=1,
         hop_latency_ticks=1,
     )
-    batches = []
+    payloads = []
 
-    def recording(batch):
-        batches.append(list(batch))
-        return encode_readings(batch)
+    def recording(sink_id, payload, sequence, key):
+        payloads.append(payload)
+        return sink_transmit(sink_id, payload, sequence, key)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "encode_readings", recording)
+        patch.setattr(sim, "sink_transmit", recording)
         report = run_simulation(config)
     assert report.fidelity_ok
-    assert len(batches) == report.frames_sent
-    for batch in batches:
-        assert batch == sorted(batch, key=attrgetter("node_id", "timestamp"))
+    # the hub's batch of each tick on which any of its sensors fired
+    expected = [
+        aggregate([sense(s.id, s.kind, tick, config.seed)
+                   for s in sensors if tick % s.sense_period_ticks == 0])
+        for tick in range(1, config.duration_ticks + 1)
+        if any(tick % s.sense_period_ticks == 0 for s in sensors)
+    ]
+    assert payloads == expected
+    for payload in payloads:
+        readings = decode_readings(payload)
+        assert readings == sorted(readings, key=attrgetter("node_id", "timestamp"))
 
 
 # (period, hop latency, duration): hundreds of arrival ticks in flight at
