@@ -96,6 +96,21 @@ json.dump(doc, open(sys.argv[2], "w"))
     test "$code" -eq 1
     grep -qF '"frames_rejected": {}' "$RUNNER_TEMP/m.json"
     grep -qF '"fidelity_ok": false' "$RUNNER_TEMP/m.json"
+    # stdout a pipe whose reader has gone, buffered and unbuffered: exit 3
+    # with one error line, not a traceback
+    for unbuffered in "" 1; do
+        for command in "simulate --config configs/demo.json" vectors; do
+            # shellcheck disable=SC2086  # the command's words are its argv
+            PYTHONUNBUFFERED="$unbuffered" python -c '
+import os, subprocess, sys
+read_end, write_end = os.pipe()
+os.close(read_end)
+done = subprocess.run(sys.argv[1:], stdout=write_end, stderr=subprocess.PIPE, text=True)
+sys.stderr.write(done.stderr)
+sys.exit(done.returncode != 3 or len(done.stderr.splitlines()) != 1)
+' wsncrypt $command
+        done
+    done
 }
 
 console_script_attack() {

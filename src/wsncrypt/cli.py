@@ -9,7 +9,10 @@ is always plain text (NO_COLOR needs no special handling).
 Arguments are checked by the library calls they feed, or by the subcommand
 where no call can (keygen's length and seed, estimate's rate and result
 size): a rejected argument is a `ValueError`, which `main` alone prints, as
-one `error:` line per problem, and turns into exit 2.
+one `error:` line per problem, and turns into exit 2.  Each subcommand
+reports its own files' errors; a failed write to stdout, such as to a pipe
+whose reader has gone, is `main`'s to report, as one `error:` line and
+exit 3, and so is a failure of the final flush of stdout.
 
 A subcommand imports what only it uses as it runs: `simulate` loads the
 simulator and `attack` and `estimate` the attack layer, so `encrypt`,
@@ -147,6 +150,8 @@ def _cmd_codec(args: argparse.Namespace, operation) -> int:
             print(f"error: cannot read input: {exc.__cause__}", file=sys.stderr)
             return EXIT_IO
         except OSError as exc:
+            if args.out is None:  # stdout's, which `main` reports
+                raise
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_IO
     return EXIT_OK
@@ -386,15 +391,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the flush
+    at interpreter exit drops what a failed write left buffered instead of
+    failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # no descriptor of its own, so no flush at exit to fail
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process has no stdout
+            sys.stdout.flush()  # here, not at exit, so a failure is reported
     except ValueError as exc:  # every rejection of an argument
         # a rejected config (InvalidConfigError) lists each of its problems
         for problem in getattr(exc, "problems", [exc]):
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # a write to stdout: commands catch their files'
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

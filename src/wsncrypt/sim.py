@@ -4,8 +4,9 @@ Sensors fire on fixed periods and hand readings to their hub; each hub
 sends one aggregated batch every tick it received anything; the batch is
 relayed hop by hop to the hub's sink; the sink encrypts it, wraps it in a
 frame, and relays the frame to the fusion center, which looks up the key
-for the sending sink, decrypts, re-parses the readings, and tallies the
-result.  Intermediate nodes forward bytes untouched and never decrypt.
+for the sending sink, decrypts, checks and counts the batch's records, and
+tallies the result.  Intermediate nodes forward bytes untouched and never
+decrypt.
 
 One event queue drives the run: a heap of sense, transmit and receive
 events, popped in the order tick, then stage (in that order), then node id,
@@ -25,9 +26,10 @@ writes it; no reading is built.  Two cohorts of one group may fire on one
 tick; after the last, each hub of the group, in id order, sorts its records
 (a record starts with its node id, big-endian, so byte order is node id
 order) and sends their count and the records as its batch, byte for byte
-what `aggregate` gives.  The fusion center decrypts and parses every frame
-it accepts, and the run checks the decrypted batch against the bytes its
-hub sent.
+what `aggregate` gives.  The fusion center decrypts every frame it
+accepts and checks and counts every record of its batch, without building
+the readings (only `fusion_receive` builds them), and the run checks the
+decrypted batch against the bytes its hub sent.
 
 The whole run is a pure function of SimConfig: sensor values come from the
 seeded mixer in `wsncrypt.rng` and the event order is total, so two runs of
@@ -74,8 +76,9 @@ from .wire import (
     WireError,
     _COUNT,
     _RECORD,
+    _build_readings,
+    _count_readings,
     decode_frame,
-    decode_readings,
     encode_frame,
     encode_readings,
 )
@@ -267,12 +270,14 @@ def fusion_receive(
     """Decode, key-select, decrypt, and re-parse one received frame.
 
     Raises a DecodeError subclass (a wire one, UnknownSinkError, or
-    DecodeAfterDecryptError); callers count those as rejections.  The two
-    halves, frame to plaintext (`_open_frame`) and plaintext to readings
-    (`_parse_batch`), are the ones `run_simulation` calls, so that it can
-    compare the plaintext with the batch its hub sent.
+    DecodeAfterDecryptError); callers count those as rejections.  Its first
+    two steps, frame to plaintext (`_open_frame`) and the check and count of
+    every record (`_parse_batch`), are the ones `run_simulation` calls, so
+    that it can compare the plaintext with the batch its hub sent; only
+    here are the readings built.
     """
-    return _parse_batch(*_open_frame(frame_bytes, registry))
+    sink_id, plaintext = _open_frame(frame_bytes, registry)
+    return _build_readings(plaintext, _parse_batch(sink_id, plaintext))
 
 
 def _open_frame(
@@ -287,10 +292,11 @@ def _open_frame(
     return frame.sink_id, decrypt(frame.payload, key)
 
 
-def _parse_batch(sink_id: int, plaintext: bytes) -> List[SensorReading]:
-    """`fusion_receive`'s second half: the readings of a decrypted payload."""
+def _parse_batch(sink_id: int, plaintext: bytes) -> int:
+    """`fusion_receive`'s second step: the record count of a decrypted
+    payload, once every record has been checked; no reading is built."""
     try:
-        return decode_readings(plaintext)
+        return _count_readings(plaintext)
     except WireError as exc:
         raise DecodeAfterDecryptError(
             f"payload from sink {sink_id} decrypted but failed to"
@@ -518,7 +524,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             stats.frames_delivered += 1
             try:
                 frame_sink, plaintext = _open_frame(encoded, registry)
-                readings = _parse_batch(frame_sink, plaintext)
+                count = _parse_batch(frame_sink, plaintext)
             except DecodeError as exc:
                 kind = exc.kind
                 report.frames_rejected[kind] = (
@@ -529,8 +535,8 @@ def run_simulation(config: SimConfig) -> SimReport:
             else:
                 if plaintext != payload:
                     report.fidelity_ok = False
-                report.readings_recovered += len(readings)
-                stats.readings_recovered += len(readings)
+                report.readings_recovered += count
+                stats.readings_recovered += count
 
     return report
 

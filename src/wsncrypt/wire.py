@@ -268,34 +268,56 @@ def encode_readings(readings: Sequence[SensorReading]) -> bytes:
     return b"".join(parts)
 
 
-def decode_readings(data: bytes) -> List[SensorReading]:
-    """Inverse of `encode_readings`; rejects trailing garbage."""
-    if type(data) is not bytes:  # a memoryview's len() counts items, not bytes
-        data = _as_bytes(data)
+def _count_readings(data: bytes) -> int:
+    """The record count of a batch, once every record has been checked.
+
+    This walk is the one statement of the batch rules: the count field is
+    present, each record's header fits, its kind byte is defined and its
+    value fits, in that order, and no byte follows the last record.  It
+    builds no reading.
+    """
     end = len(data)
     if end < COUNT_LEN:
         raise TruncatedError("batch shorter than its count field")
     (count,) = _COUNT.unpack_from(data)
-    readings: List[SensorReading] = []
-    # the per-record loop reads only locals
-    append, unpack_from, kinds = readings.append, _RECORD.unpack_from, _KIND_OF_BYTE
-    new, reading = tuple.__new__, SensorReading  # as SensorReading(...), faster
+    unpack_from, kinds = _RECORD.unpack_from, _KIND_OF_BYTE
     size = RECORD_HEADER_LEN
     last_header = end - size  # the last offset a record header fits at
     pos = COUNT_LEN
     for _ in range(count):
         if pos > last_header:
             raise TruncatedError("record header runs past end of batch")
-        node_id, timestamp, kind_code, value_len = unpack_from(data, pos)
-        pos += size
-        kind = kinds[kind_code]
-        if kind is None:
+        _, _, kind_code, value_len = unpack_from(data, pos)
+        if kinds[kind_code] is None:
             raise BadKindError(f"kind byte {kind_code} is not defined")
-        value_end = pos + value_len
-        if value_end > end:
+        pos += size + value_len
+        if pos > end:
             raise TruncatedError("record value runs past end of batch")
-        append(new(reading, (node_id, timestamp, kind, data[pos:value_end])))
-        pos = value_end
     if pos != end:
         raise TrailingBytesError(f"{end - pos} bytes after batch")
+    return count
+
+
+def _build_readings(data: bytes, count: int) -> List[SensorReading]:
+    """The first `count` readings of a batch that `_count_readings` has
+    passed with that count; it checks nothing itself."""
+    readings: List[SensorReading] = []
+    # the per-record loop reads only locals
+    append, unpack_from, kinds = readings.append, _RECORD.unpack_from, _KIND_OF_BYTE
+    new, reading = tuple.__new__, SensorReading  # as SensorReading(...), faster
+    size = RECORD_HEADER_LEN
+    pos = COUNT_LEN
+    for _ in range(count):
+        node_id, timestamp, kind_code, value_len = unpack_from(data, pos)
+        pos += size
+        value_end = pos + value_len
+        append(new(reading, (node_id, timestamp, kinds[kind_code], data[pos:value_end])))
+        pos = value_end
     return readings
+
+
+def decode_readings(data: bytes) -> List[SensorReading]:
+    """Inverse of `encode_readings`; rejects trailing garbage."""
+    if type(data) is not bytes:  # a memoryview's len() counts items, not bytes
+        data = _as_bytes(data)
+    return _build_readings(data, _count_readings(data))

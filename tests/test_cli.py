@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -382,6 +383,40 @@ def test_output_to_dev_stdout_pipe(tmp_path):
         capture_output=True, env=_child_env(),
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, b"\xd8\xdb", b"")
+
+
+_STDOUT_COMMANDS = {
+    "encrypt": ["encrypt", "--in-hex", "4142", "--key-hex", "5a"],
+    "decrypt": ["decrypt", "--in-hex", "d8db", "--key-hex", "5a"],
+    "keygen": ["keygen", "--key-bytes", "8", "--seed", "1"],
+    "estimate": ["estimate", "--key-bits", "64", "--rate", "1000000"],
+    "attack": ["attack", "--plain-hex", "41", "--cipher-hex", "d8",
+               "--key-bytes", "1"],
+    "simulate": ["simulate", "--config", str(CONFIG_PATH)],
+    "vectors": ["vectors"],
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", sorted(_STDOUT_COMMANDS))
+def test_closed_stdout_is_one_error_line_and_exit_3(command, unbuffered):
+    # buffered, the write fails at the final flush; unbuffered, in the command
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "wsncrypt", *_STDOUT_COMMANDS[command]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    assert done.stderr.splitlines() == [f"error: cannot write output: {broken}"]
 
 
 # -- failed writes leave the old output; permission bits ----------------------------

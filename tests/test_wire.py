@@ -22,6 +22,7 @@ from wsncrypt.wire import (
     TrailingBytesError,
     TruncatedError,
     UnsupportedVersionError,
+    _count_readings,
     decode_frame,
     decode_readings,
     encode_frame,
@@ -530,6 +531,7 @@ def same_outcome(function, reference, arg):
 def test_decode_readings_matches_reference(data):
     same_outcome(decode_readings, ref_decode_readings, data)
     same_outcome(decode_readings, ref_decode_readings, bytearray(data))
+    same_outcome(_count_readings, lambda d: len(ref_decode_readings(d)), data)
 
 
 @given(
