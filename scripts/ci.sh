@@ -99,7 +99,7 @@ json.dump(doc, open(sys.argv[2], "w"))
     # stdout a pipe whose reader has gone, buffered and unbuffered: exit 3
     # with one error line, not a traceback
     for unbuffered in "" 1; do
-        for command in "simulate --config configs/demo.json" vectors; do
+        for command in "simulate --config configs/demo.json" vectors --help; do
             # shellcheck disable=SC2086  # the command's words are its argv
             PYTHONUNBUFFERED="$unbuffered" python -c '
 import os, subprocess, sys

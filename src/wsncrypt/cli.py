@@ -10,9 +10,9 @@ Arguments are checked by the library calls they feed, or by the subcommand
 where no call can (keygen's length and seed, estimate's rate and result
 size): a rejected argument is a `ValueError`, which `main` alone prints, as
 one `error:` line per problem, and turns into exit 2.  Each subcommand
-reports its own files' errors; a failed write to stdout, such as to a pipe
-whose reader has gone, is `main`'s to report, as one `error:` line and
-exit 3, and so is a failure of the final flush of stdout.
+reports its own files' errors; a failed write to stdout (help text too),
+such as to a pipe whose reader has gone, is `main`'s to report, as one
+`error:` line and exit 3, and so is a failure of the final flush of stdout.
 
 A subcommand imports what only it uses as it runs: `simulate` loads the
 simulator and `attack` and `estimate` the attack layer, so `encrypt`,
@@ -322,6 +322,16 @@ def cmd_vectors(_args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Lets a failed write of help text raise, as any other write to stdout
+    does, so that `main` reports it; argparse would drop it."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is not None:  # None when the process has no stdout
+            file.write(self.format_help())
+
+
 class _KeyspaceHelpFormatter(argparse.HelpFormatter):
     """Fills `keyspace`'s names into help text as it is printed, so that
     building the parser does not load `keyspace`."""
@@ -336,7 +346,7 @@ class _KeyspaceHelpFormatter(argparse.HelpFormatter):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call
     of `main`; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wsncrypt",
         description="Key-directed bit-shuffle cipher and telemetry simulator",
     )
@@ -407,9 +417,13 @@ def _discard_stdout() -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as done:  # after --help, or a usage error
+            code = done.code
+        else:
+            code = args.func(args)
         if sys.stdout is not None:  # None when the process has no stdout
             sys.stdout.flush()  # here, not at exit, so a failure is reported
     except ValueError as exc:  # every rejection of an argument

@@ -8,10 +8,12 @@ for the sending sink, decrypts, checks and counts the batch's records, and
 tallies the result.  Intermediate nodes forward bytes untouched and never
 decrypt.
 
-One event queue drives the run: a heap of sense, transmit and receive
-events, popped in the order tick, then stage (in that order), then node id,
-then dispatch order (batches that reach one sink on one tick go out in the
-order their hubs sent them).  Idle ticks hold no event, so a run costs time
+One event queue drives the run: a heap of sense and transmit events, popped
+in the order tick, then stage (sense first), then node id, then dispatch
+order (batches that reach one sink on one tick go out in the order their
+hubs sent them).  A frame reaches the fusion center in the step that sends
+it: every reported fact is a sum or an AND, and its sequence number and
+corruption are fixed then.  Idle ticks hold no event, so a run costs time
 in proportion to its readings and frames, not to `duration_ticks`.
 
 Hubs are cut into hub groups: runs of consecutive hubs, in id order, with
@@ -39,7 +41,8 @@ rejection accounting at the fusion center.
 
 The stages (`sense`, `aggregate`, `relay`, `sink_transmit`) assume a
 validated config: building a SimConfig checks every node, role, edge and
-route once, so the stages re-check none of it.
+route once, so the stages re-check none of it.  The run calls only
+`sink_transmit`; of `relay` it needs a hub route's hop count.
 
 Configs load from JSON; see `config_from_dict` for the exact field names.
 """
@@ -270,36 +273,29 @@ def fusion_receive(
     """Decode, key-select, decrypt, and re-parse one received frame.
 
     Raises a DecodeError subclass (a wire one, UnknownSinkError, or
-    DecodeAfterDecryptError); callers count those as rejections.  Its first
-    two steps, frame to plaintext (`_open_frame`) and the check and count of
-    every record (`_parse_batch`), are the ones `run_simulation` calls, so
-    that it can compare the plaintext with the batch its hub sent; only
-    here are the readings built.
+    DecodeAfterDecryptError); callers count those as rejections.
+    `run_simulation` calls every step but the last (`_receive`), so that it
+    can compare the plaintext with the batch its hub sent; only here are
+    the readings built.
     """
-    sink_id, plaintext = _open_frame(frame_bytes, registry)
-    return _build_readings(plaintext, _parse_batch(sink_id, plaintext))
+    return _build_readings(*_receive(frame_bytes, registry))
 
 
-def _open_frame(
+def _receive(
     frame_bytes: bytes, registry: Mapping[int, bytes]
-) -> Tuple[int, bytes]:
-    """`fusion_receive`'s first half: the frame's sink id and its decrypted
-    payload."""
+) -> Tuple[bytes, int]:
+    """`fusion_receive` short of the readings: the frame's decrypted payload
+    and its record count, once every record has been checked."""
     frame = decode_frame(frame_bytes)
     key = registry.get(frame.sink_id)
     if key is None:
         raise UnknownSinkError(f"no key registered for sink {frame.sink_id}")
-    return frame.sink_id, decrypt(frame.payload, key)
-
-
-def _parse_batch(sink_id: int, plaintext: bytes) -> int:
-    """`fusion_receive`'s second step: the record count of a decrypted
-    payload, once every record has been checked; no reading is built."""
+    plaintext = decrypt(frame.payload, key)
     try:
-        return _count_readings(plaintext)
+        return plaintext, _count_readings(plaintext)
     except WireError as exc:
         raise DecodeAfterDecryptError(
-            f"payload from sink {sink_id} decrypted but failed to"
+            f"payload from sink {frame.sink_id} decrypted but failed to"
             f" parse: {exc}"
         ) from exc
 
@@ -367,7 +363,7 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
 
 
 # the event stages of run_simulation, in the order each tick runs them
-SENSE, TRANSMIT, RECEIVE = range(3)
+SENSE, TRANSMIT = range(2)
 
 # The most sensors in a hub group.  A firing costs ~4.5 us fixed plus ~0.5 us
 # per sensor, so at 256 the fixed part is ~4%, and its lane integers stay
@@ -381,12 +377,12 @@ def run_simulation(config: SimConfig) -> SimReport:
     """Run the full pipeline to quiescence and account for every frame.
 
     The config was validated when it was built.  Sensing stops after
-    `duration_ticks`; in-flight batches and frames are drained afterwards
-    so nothing is cut off mid-route.  `fidelity_ok` is true iff no frame
-    was rejected and every delivered frame decrypted to exactly the batch
-    its hub sent, checked frame by frame.  The codec is canonical, so for a
-    frame that parses this holds exactly when its readings are the ones its
-    hub sensed.
+    `duration_ticks`; batches on their way to a sink are drained afterwards
+    so nothing is cut off mid-route, and the fusion center takes each frame
+    as it is sent.  `fidelity_ok` is true iff no frame was rejected and
+    every delivered frame decrypted to exactly the batch its hub sent,
+    checked frame by frame.  The codec is canonical, so for a frame that
+    parses this holds exactly when its readings are the ones its hub sensed.
     """
     topology = config.topology
     duration = config.duration_ticks
@@ -428,13 +424,14 @@ def run_simulation(config: SimConfig) -> SimReport:
             cohort = _cohort_sensor(list(itertools.chain(*per_hub)), config.seed)
             events.append((period, SENSE, hub_ids[0], period, cohort, hub_ids, cuts))
     heapq.heapify(events)
-    # ticks from a route's first node to its last, and that last node (a
-    # hub's sink); routes never change
+    # ticks from each hub to its sink (`relay`'s last entry), and that
+    # sink; routes never change
+    routes = topology.routes
     transit = {
-        owner: relay(route, config.hop_latency_ticks)[-1][1]
-        for owner, route in topology.routes.items()
+        hub_id: (len(routes[hub_id]) - 1) * config.hop_latency_ticks
+        for hub_id in hub_sensors
     }
-    route_end = {owner: route[-1] for owner, route in topology.routes.items()}
+    route_end = {hub_id: routes[hub_id][-1] for hub_id in hub_sensors}
     sink_keys, registry = config.sink_keys, config.registry
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
@@ -461,7 +458,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     # each event queues its followers for later ticks (periods and latency
     # are at least 1), so popping in heap order runs each tick's stages in
     # order and the cohorts of one group on one tick pop back to back; every
-    # event but a last sense or a receive replaces itself at the heap's top
+    # sense but a last one replaces itself at the heap's top
     while events:
         event = events[0]
         stage = event[1]
@@ -481,8 +478,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 batches = [records[cut] for cut in cuts]
             # the batches wait for this group's other cohorts of this tick,
             # which pop next; the stage needs no check, since the third field
-            # of a transmit or a receive is a sink and node ids are unique
-            # across roles
+            # of a transmit is a sink and node ids are unique across roles
             if events and events[0][0] == tick and events[0][2] == first_hub:
                 continue
             for hub_id, batch in zip(hub_ids, batches):
@@ -500,8 +496,8 @@ def run_simulation(config: SimConfig) -> SimReport:
                     next(ordinals), payload,
                 ))
             batches = []
-        elif stage == TRANSMIT:
-            tick, _, sink_id, ordinal, payload = event
+        else:
+            _, _, sink_id, _, payload = heapq.heappop(events)
             stats = per_sink[sink_id]
             # a sink's frame count is its next sequence number, and the
             # run's frame count the next frame's corruption index
@@ -514,17 +510,10 @@ def run_simulation(config: SimConfig) -> SimReport:
                     encoded = _flip_bit(encoded, bit)
             report.frames_sent += 1
             stats.frames_sent += 1
-            heapq.heapreplace(events, (
-                tick + transit[sink_id], RECEIVE, sink_id, ordinal, encoded, payload,
-            ))
-        else:
-            _, _, origin_sink, _, encoded, payload = heapq.heappop(events)
-            stats = per_sink[origin_sink]
             report.frames_delivered += 1
             stats.frames_delivered += 1
             try:
-                frame_sink, plaintext = _open_frame(encoded, registry)
-                count = _parse_batch(frame_sink, plaintext)
+                plaintext, count = _receive(encoded, registry)
             except DecodeError as exc:
                 kind = exc.kind
                 report.frames_rejected[kind] = (

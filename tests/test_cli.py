@@ -394,6 +394,9 @@ _STDOUT_COMMANDS = {
                "--key-bytes", "1"],
     "simulate": ["simulate", "--config", str(CONFIG_PATH)],
     "vectors": ["vectors"],
+    # argparse prints help and exits before any command runs
+    "help": ["--help"],
+    "attack-help": ["attack", "--help"],
 }
 
 

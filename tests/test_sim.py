@@ -1090,6 +1090,35 @@ def test_relay_transparency_end_to_end():
     assert rerouted.fidelity_ok
 
 
+def _two_more_relays(config):
+    """`config` with sink 31's route to the fusion center two relays longer."""
+    topology = config.topology
+    return dataclasses.replace(config, topology=Topology(
+        nodes=topology.nodes + (NodeSpec(22, "relay"), NodeSpec(23, "relay")),
+        edges=tuple(e for e in topology.edges if e != (21, 99))
+        + ((21, 22), (22, 23), (23, 99)),
+        routes={**topology.routes, 31: (31, 20, 21, 22, 23, 99)},
+    ))
+
+
+@pytest.mark.parametrize("change", [
+    _two_more_relays,
+    lambda config: dataclasses.replace(config, hop_latency_ticks=5),
+], ids=["longer-sink-route", "slower-hops"])
+def test_arrival_at_the_fusion_center_moves_no_fact(change):
+    # the run does not schedule a frame's trip from its sink to the fusion
+    # center, so how long that trip takes must not show.  Both changes move
+    # the two sinks' frames against each other at the fusion center; every
+    # hub route of the golden config is one hop, so slower hops delay every
+    # batch to its sink alike
+    config = golden_config()
+    changed = change(config)
+    assert changed != config
+    reports = [report_to_dict(run_simulation(c)) for c in (config, changed)]
+    assert reports[0] == reports[1]
+    assert frame_digest(changed) == frame_digest(config)
+
+
 # -- golden reports -------------------------------------------------------------------
 
 
