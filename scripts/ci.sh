@@ -72,6 +72,13 @@ tier1() {
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 }
 
+run_order() {  # the reference properties under five fixed hypothesis seeds
+    for seed in 1 2 3 4 5; do
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
+            tests/test_sim.py -k reference --hypothesis-seed="$seed"
+    done
+}
+
 console_script() {
     wsncrypt vectors
     test "$(wsncrypt encrypt --in-hex 4142 --key-hex 5a)" = d8db
@@ -160,6 +167,7 @@ bench() {  # bench WORKLOAD TRACE
 
 step "Install" install
 step "Tier-1 tests" tier1
+step "Run order (tick-by-tick and group-limit reference properties, every frame's bytes, hypothesis seeds 1-5)" run_order
 step "Installed console script (wsncrypt entry point)" console_script
 step "Installed console script attack (3-byte key ffffff, the last lane of the last pass)" console_script_attack
 step "Attack experiment (1- to 3-byte searches, structure-blind trial rate and 64-bit years, key read off one block, effective keyspace)" attack_experiment
@@ -170,7 +178,7 @@ step "Benchmark tests" benchmark_tests
 step "Benchmark smoke run (fails on any pin or oracle mismatch)" bench sim-sparse 0
 step "Sim-wide benchmark smoke run (untraced per-reading path against the pins)" bench sim-wide 0
 step "Traced benchmark smoke run (stages still traced and matching the pins)" bench sim-wide 1
-step "Traced sim-sparse smoke run (idle-heavy event queue under the tracer gates)" bench sim-sparse 1
+step "Traced sim-sparse smoke run (idle-heavy run, cohorts firing only on their periods, under the tracer gates)" bench sim-sparse 1
 step "Attack-search benchmark smoke run (trial kernel against the pins)" bench attack-search 0
 step "Traced attack-search smoke run (one confirming encrypt per search under the tracer gates)" bench attack-search 1
 step "Attack-recover benchmark smoke run (one key period expanded and repeated, against the pins)" bench attack-recover 0

@@ -8,18 +8,18 @@ for the sending sink, decrypts, checks and counts the batch's records, and
 tallies the result.  Intermediate nodes forward bytes untouched and never
 decrypt.
 
-One event queue drives the run: a heap of sense and transmit events, popped
-in the order tick, then stage (sense first), then node id, then dispatch
-order (batches that reach one sink on one tick go out in the order their
-hubs sent them).  A frame reaches the fusion center in the step that sends
-it: every reported fact is a sum or an AND, and its sequence number and
-corruption are fixed then.  Idle ticks hold no event, so a run costs time
-in proportion to its readings and frames, not to `duration_ticks`.
+Each cohort (below) fires on the multiples of its period, taken over all
+cohorts in the order tick, then hub group.  Hubs' batches wait in one outbox
+heap, keyed (tick it reaches its sink, sink, send order); the run sends
+every batch due before a firing tick ahead of that tick's firings, and the
+rest after the last.  A frame reaches the fusion center in the step that
+sends it: every reported fact is a sum or an AND, and its sequence number
+and corruption are fixed then.  Idle ticks are never visited, so a run
+costs time in proportion to its readings and frames, not to its ticks.
 
 Hubs are cut into hub groups: runs of consecutive hubs, in id order, with
 at most _GROUP_SENSORS sensors in all (a larger hub is a group alone).  A
-sense event, keyed by its group's first hub id and its period, fires a
-cohort: the sensors of one group that share a period.  Each of their value
+cohort is the sensors of one group that share a period.  Each of their value
 words has its own 128-bit lane of one integer, so `rng.mix64_lanes` derives
 every value of a firing in a few whole-integer operations, and a group pays
 a firing's fixed cost once for all its hubs.  A firing yields each sensor's
@@ -42,7 +42,8 @@ rejection accounting at the fusion center.
 The stages (`sense`, `aggregate`, `relay`, `sink_transmit`) assume a
 validated config: building a SimConfig checks every node, role, edge and
 route once, so the stages re-check none of it.  The run calls only
-`sink_transmit`; of `relay` it needs a hub route's hop count.
+`sink_transmit`, and takes a batch's ticks in transit from its hub route's
+hop count, as `relay`'s last entry would give them.
 
 Configs load from JSON; see `config_from_dict` for the exact field names.
 """
@@ -52,6 +53,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 import operator
 import re
 import struct
@@ -362,9 +364,6 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
     return bytes(out)
 
 
-# the event stages of run_simulation, in the order each tick runs them
-SENSE, TRANSMIT = range(2)
-
 # The most sensors in a hub group.  A firing costs ~4.5 us fixed plus ~0.5 us
 # per sensor, so at 256 the fixed part is ~4%, and its lane integers stay
 # under 16 KB.  Unbounded groups (2.2 MB integers) ran the 60,301-node ladder
@@ -377,7 +376,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     """Run the full pipeline to quiescence and account for every frame.
 
     The config was validated when it was built.  Sensing stops after
-    `duration_ticks`; batches on their way to a sink are drained afterwards
+    `duration_ticks`; the batches still in the outbox are sent afterwards,
     so nothing is cut off mid-route, and the fusion center takes each frame
     as it is sent.  `fidelity_ok` is true iff no frame was rejected and
     every delivered frame decrypted to exactly the batch its hub sent,
@@ -386,61 +385,54 @@ def run_simulation(config: SimConfig) -> SimReport:
     """
     topology = config.topology
     duration = config.duration_ticks
-    # each hub's sensors that fire within the run, (period, id, kind) in id
-    # order, cut into hub groups: runs of consecutive hubs, in id order, with
-    # at most _GROUP_SENSORS of them in all; a larger hub is a group alone
-    groups: List[List[Tuple[int, List[Tuple[int, int, ReadingKind]]]]] = []
+    # hub groups: runs of consecutive hubs, in id order, with at most
+    # _GROUP_SENSORS sensors in all; a larger hub is a group alone
+    groups: List[List[int]] = []
     size = 0
     hub_sensors = topology.hub_sensors()
     for hub_id in sorted(hub_sensors):
-        sensors = []
-        for node in hub_sensors[hub_id]:
-            period = node.sense_period_ticks or config.sense_period_ticks
-            if period <= duration:
-                sensors.append((period, node.id, node.kind))
-        if not sensors:
-            continue
-        if not groups or size + len(sensors) > _GROUP_SENSORS:
+        count = len(hub_sensors[hub_id])
+        if not groups or size + count > _GROUP_SENSORS:
             groups.append([])
             size = 0
-        groups[-1].append((hub_id, sensors))
-        size += len(sensors)
+        groups[-1].append(hub_id)
+        size += count
     # a cohort is the sensors of one group that share a period, in (hub, id)
     # order, and `cuts` slices each hub's readings, in group order, out of
-    # its firing.  (tick, stage, first hub, period) is unique, so no
-    # comparison reaches a cohort
-    events = []
+    # its firing.  Per cohort, its firings: ((tick, first hub), (cohort,
+    # dests, cuts)) for each multiple of its period up to `duration`
+    routes, latency = topology.routes, config.hop_latency_ticks
+    firings = []
     for group in groups:
-        hub_ids = tuple(hub_id for hub_id, _ in group)
+        # per hub, the ticks from it to its sink (`relay`'s last entry), and
+        # that sink; routes never change
+        dests = tuple(
+            ((len(routes[hub_id]) - 1) * latency, routes[hub_id][-1])
+            for hub_id in group
+        )
         by_period: Dict[int, List[List[Tuple[int, ReadingKind]]]] = {}
-        for i, (_, sensors) in enumerate(group):
-            for period, sensor_id, kind in sensors:
+        for i, hub_id in enumerate(group):
+            for node in hub_sensors[hub_id]:
+                period = node.sense_period_ticks or config.sense_period_ticks
                 if period not in by_period:
                     by_period[period] = [[] for _ in group]
-                by_period[period][i].append((sensor_id, kind))
+                by_period[period][i].append((node.id, node.kind))
         for period, per_hub in by_period.items():
             ends = list(itertools.accumulate(map(len, per_hub)))
             cuts = tuple(map(slice, [0, *ends], ends))
             cohort = _cohort_sensor(list(itertools.chain(*per_hub)), config.seed)
-            events.append((period, SENSE, hub_ids[0], period, cohort, hub_ids, cuts))
-    heapq.heapify(events)
-    # ticks from each hub to its sink (`relay`'s last entry), and that
-    # sink; routes never change
-    routes = topology.routes
-    transit = {
-        hub_id: (len(routes[hub_id]) - 1) * config.hop_latency_ticks
-        for hub_id in hub_sensors
-    }
-    route_end = {hub_id: routes[hub_id][-1] for hub_id in hub_sensors}
+            ticks = range(period, duration + 1, period)
+            firing = itertools.repeat((cohort, dests, cuts))
+            firings.append(zip(zip(ticks, itertools.repeat(group[0])), firing))
     sink_keys, registry = config.sink_keys, config.registry
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
-    # numbers batches in send order: it breaks ties between one sink's events
-    # of one tick, and ends every comparison before the bytes
+    # batches bound for sinks, (arrival tick, sink, send ordinal, payload):
+    # the ordinal keeps one sink's batches of one tick in the order their
+    # hubs put them there, and ends every comparison before the bytes
+    outbox: List[Tuple[int, int, int, bytes]] = []
     ordinals = itertools.count()
-    # per hub of one group, its encoded records of one tick
-    batches: List[List[bytes]] = []
 
     report = SimReport(
         readings_sensed=0,
@@ -455,49 +447,11 @@ def run_simulation(config: SimConfig) -> SimReport:
     )
     per_sink = report.per_sink
 
-    # each event queues its followers for later ticks (periods and latency
-    # are at least 1), so popping in heap order runs each tick's stages in
-    # order and the cohorts of one group on one tick pop back to back; every
-    # sense but a last one replaces itself at the heap's top
-    while events:
-        event = events[0]
-        stage = event[1]
-        if stage == SENSE:
-            tick, _, first_hub, period, cohort, hub_ids, cuts = event
-            if tick + period <= duration:
-                heapq.heapreplace(events, (
-                    tick + period, SENSE, first_hub, period, cohort, hub_ids, cuts,
-                ))
-            else:
-                heapq.heappop(events)
-            records = cohort(tick)
-            if batches:  # another cohort of this group fired on this tick
-                for batch, cut in zip(batches, cuts):
-                    batch += records[cut]
-            else:
-                batches = [records[cut] for cut in cuts]
-            # the batches wait for this group's other cohorts of this tick,
-            # which pop next; the stage needs no check, since the third field
-            # of a transmit is a sink and node ids are unique across roles
-            if events and events[0][0] == tick and events[0][2] == first_hub:
-                continue
-            for hub_id, batch in zip(hub_ids, batches):
-                if not batch:
-                    continue
-                report.readings_sensed += len(batch)
-                # cohorts arrive by period, not id.  A sensor has one hub and
-                # fires at most once a tick, so the node ids, each record's
-                # first two bytes, big-endian, are unique: byte order is
-                # _NODE_THEN_TIME order, and the batch is `aggregate`'s
-                batch.sort()
-                payload = _COUNT.pack(len(batch)) + b"".join(batch)
-                heapq.heappush(events, (
-                    tick + transit[hub_id], TRANSMIT, route_end[hub_id],
-                    next(ordinals), payload,
-                ))
-            batches = []
-        else:
-            _, _, sink_id, _, payload = heapq.heappop(events)
+    def send(until: float) -> None:
+        """Send every batch in the outbox that reaches its sink before tick
+        `until`, and hand its frame to the fusion center."""
+        while outbox and outbox[0][0] < until:
+            _, sink_id, _, payload = heapq.heappop(outbox)
             stats = per_sink[sink_id]
             # a sink's frame count is its next sequence number, and the
             # run's frame count the next frame's corruption index
@@ -526,6 +480,34 @@ def run_simulation(config: SimConfig) -> SimReport:
                     report.fidelity_ok = False
                 report.readings_recovered += count
                 stats.readings_recovered += count
+
+    # a batch reaches its sink a tick after it went into the outbox or later
+    # (a route has a hop, latency is at least 1), and sensing never waits on
+    # a frame: sending what is due before each firing tick runs each tick's
+    # firings, then its frames
+    when = operator.itemgetter(0)
+    for (tick, _), fired in itertools.groupby(heapq.merge(*firings, key=when), when):
+        send(tick)
+        batches: List[List[bytes]] = []  # per hub of the group, its records
+        for _, (cohort, dests, cuts) in fired:
+            records = cohort(tick)
+            if batches:  # another cohort of this group fired on this tick
+                for batch, cut in zip(batches, cuts):
+                    batch += records[cut]
+            else:
+                batches = [records[cut] for cut in cuts]
+        for (transit, sink_id), batch in zip(dests, batches):
+            if not batch:
+                continue
+            report.readings_sensed += len(batch)
+            # cohorts arrive by period, not id.  A sensor has one hub and
+            # fires at most once a tick, so the node ids, each record's
+            # first two bytes, big-endian, are unique: byte order is
+            # _NODE_THEN_TIME order, and the batch is `aggregate`'s
+            batch.sort()
+            payload = _COUNT.pack(len(batch)) + b"".join(batch)
+            heapq.heappush(outbox, (tick + transit, sink_id, next(ordinals), payload))
+    send(math.inf)
 
     return report
 
@@ -562,20 +544,16 @@ def config_from_dict(doc: dict) -> SimConfig:
     try:
         nodes = tuple(
             NodeSpec(
-                id=_int(n["id"], "node id"),
-                role=str(n["role"]),
-                kind=(
-                    ReadingKind[str(n["kind"]).upper()]
-                    if "kind" in n
-                    else None
-                ),
+                id=_int(_field(n, "id", f"nodes[{i}]"), "node id"),
+                role=str(_field(n, "role", f"nodes[{i}]")),
+                kind=_kind(n["kind"], f"nodes[{i}]") if "kind" in n else None,
                 sense_period_ticks=(
                     _int(n["sense_period_ticks"], "sense_period_ticks")
                     if "sense_period_ticks" in n
                     else None
                 ),
             )
-            for n in doc["nodes"]
+            for i, n in enumerate(doc["nodes"])
         )
         edges = tuple(
             (_int(a, "edge end"), _int(b, "edge end")) for a, b in doc["edges"]
@@ -592,16 +570,16 @@ def config_from_dict(doc: dict) -> SimConfig:
         )
         corruption = tuple(
             FrameCorruption(
-                frame_index=_int(c["frame"], "corruption frame"),
-                bit_index=_int(c["bit"], "corruption bit"),
+                _int(_field(c, "frame", f"corruption[{i}]"), "corruption frame"),
+                _int(_field(c, "bit", f"corruption[{i}]"), "corruption bit"),
             )
-            for c in doc.get("corruption", ())
+            for i, c in enumerate(doc.get("corruption", ()))
         )
         seed = _int(doc["seed"], "seed")
         duration = _int(doc["duration_ticks"], "duration_ticks")
         period = _int(doc["sense_period_ticks"], "sense_period_ticks")
         latency = _int(doc["hop_latency_ticks"], "hop_latency_ticks")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidConfigError([f"malformed config: {exc}"]) from exc
     return SimConfig(
         topology=Topology(nodes=nodes, edges=edges, routes=routes),
@@ -620,6 +598,23 @@ def _int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _field(entry: dict, name: str, where: str):
+    try:
+        return entry[name]
+    except KeyError:
+        raise ValueError(f"{where} is missing field {name!r}") from None
+
+
+def _kind(value, where: str) -> ReadingKind:
+    try:
+        return ReadingKind[str(value).upper()]
+    except KeyError:
+        valid = ", ".join(kind.name.lower() for kind in ReadingKind)
+        raise ValueError(
+            f"{where} has unknown reading kind {value!r} (valid kinds: {valid})"
+        ) from None
 
 
 def _id_key(key: str, name: str) -> int:

@@ -124,8 +124,11 @@ def validate_topology(topology: Topology) -> List[str]:
                 and node.sense_period_ticks < 1
             ):
                 problems.append(f"sensor {node.id} has non-positive period")
-        elif node.kind is not None:
-            problems.append(f"non-sensor {node.id} carries a reading kind")
+        else:
+            if node.kind is not None:
+                problems.append(f"non-sensor {node.id} carries a reading kind")
+            if node.sense_period_ticks is not None:
+                problems.append(f"non-sensor {node.id} carries a sense period")
 
     nodes = topology.node_map()
     for a, b in topology.edges:

@@ -867,9 +867,16 @@ def test_simulate_misregistered_key_fails_fidelity_without_rejecting(tmp_path,
     assert report["fidelity_ok"] is False
 
 
-# one minimal change to the demo config per check, each the only problem it
-# makes.  A node id or tick past its bound would otherwise reach a run,
-# which packs both into fixed-width record fields
+def _add_video_sensors(doc, count):
+    for node_id in range(100, 100 + count):
+        doc["nodes"].append({"id": node_id, "role": "sensor", "kind": "video"})
+        doc["edges"].append([node_id, 10])
+
+
+# one minimal change to the demo config per check of `validate_topology` and
+# `_validate_config`, each the only problem it makes.  A node id or tick past
+# its bound would otherwise reach a run, which packs both into fixed-width
+# record fields
 @pytest.mark.parametrize("change, message", [
     (lambda doc: doc.update(duration_ticks=1 << 32),
      "duration_ticks must fit u32 timestamps"),
@@ -879,7 +886,60 @@ def test_simulate_misregistered_key_fails_fidelity_without_rejecting(tmp_path,
      "multiple fusion centers: [98, 99]"),
     (lambda doc: doc["nodes"].append({"id": 1 << 16, "role": "relay"}),
      "node id 65536 does not fit u16"),
-], ids=["duration", "seed", "self-loop", "fusion-centers", "node-id"])
+    (lambda doc: doc["nodes"].append({"id": 20, "role": "relay"}),
+     "duplicate node id 20"),
+    (lambda doc: doc["nodes"].append({"id": 50, "role": "gateway"}),
+     "node 50 has unknown role 'gateway'"),
+    (lambda doc: doc["nodes"][0].pop("kind"), "sensor 1 has no reading kind"),
+    (lambda doc: doc["nodes"][0].update(sense_period_ticks=0),
+     "sensor 1 has non-positive period"),
+    (lambda doc: doc["nodes"][3].update(kind="scalar"),
+     "non-sensor 20 carries a reading kind"),
+    (lambda doc: doc["nodes"][2].update(sense_period_ticks=-5),
+     "non-sensor 10 carries a sense period"),
+    (lambda doc: doc["edges"].append([20, 77]),
+     "edge (20, 77) references unknown node 77"),
+    (lambda doc: doc["nodes"][5].update(role="relay"), "missing fusion center"),
+    (lambda doc: doc["edges"].remove([1, 10]),
+     "sensor 1 is adjacent to 0 hubs, expected exactly 1"),
+    (lambda doc: doc["routes"].update({"20": [20, 99]}),
+     "route configured for non-hub/sink 20"),
+    (lambda doc: doc["routes"].pop("10"), "hub 10 has no route"),
+    (lambda doc: doc["routes"].update({"10": [10]}),
+     "route of hub 10 has fewer than 2 nodes"),
+    (lambda doc: doc["routes"].update({"30": [20, 99]}),
+     "route of sink 30 starts at 20, not itself"),
+    (lambda doc: doc["routes"].update({"10": [10, 30, 20]}),
+     "route of hub 10 ends at 20, not a sink"),
+    (lambda doc: doc["routes"].update({"30": [30, 20]}),
+     "route of sink 30 ends at 20, not the fusion center"),
+    (lambda doc: doc["routes"].update({"10": [10, 77, 30]}),
+     "route of hub 10 visits unknown node 77"),
+    (lambda doc: doc["routes"].update({"10": [10, 20, 30]}),
+     "route of hub 10 uses missing edge (10, 20)"),
+    # 2 + 10 + 24 bytes for the demo's sensors, 40 per video sensor
+    (lambda doc: _add_video_sensors(doc, 1638),
+     "hub 10 worst-case batch of 65556 bytes exceeds 65535"),
+    (lambda doc: doc.update(corruption=[{"frame": 0, "bit": 384}]),
+     "corruption bit 384 is past the longest possible frame (384 bits)"),
+    (lambda doc: doc.update(duration_ticks=0), "duration_ticks must be >= 1"),
+    (lambda doc: doc.update(sense_period_ticks=0),
+     "sense_period_ticks must be >= 1"),
+    (lambda doc: doc.update(hop_latency_ticks=0),
+     "hop_latency_ticks must be >= 1"),
+    (lambda doc: doc.update(keys={}), "sink 30 has no key"),
+    (lambda doc: doc.update(fusion_registry={"30": "00" * 33}),
+     "key for sink 30 must be 1..32 bytes"),
+    (lambda doc: doc.update(corruption=[{"frame": -1, "bit": 0}]),
+     "corruption indices must be non-negative"),
+], ids=["duration", "seed", "self-loop", "fusion-centers", "node-id",
+        "duplicate-id", "unknown-role", "no-kind", "sensor-period",
+        "non-sensor-kind", "non-sensor-period", "unknown-edge-end",
+        "no-fusion-center", "sensor-hubs", "route-owner", "no-route",
+        "short-route", "route-start", "hub-route-end", "sink-route-end",
+        "route-unknown-node", "route-missing-edge", "worst-case-batch",
+        "corruption-bit", "duration-positive", "period-positive",
+        "latency-positive", "sink-key", "key-length", "corruption-negative"])
 def test_each_validation_bound_is_one_error_line_and_exit_2(change, message,
                                                             tmp_path, capsys):
     doc = json.loads(CONFIG_PATH.read_text())
@@ -892,6 +952,17 @@ def test_each_validation_bound_is_one_error_line_and_exit_2(change, message,
     assert run(["simulate", "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("root", ["[]", "null", "7", '"config"'])
+def test_simulate_config_root_must_be_an_object(root, tmp_path, capsys):
+    config_path = tmp_path / "root.json"
+    config_path.write_text(root)
+    assert run(["simulate", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: config root must be a JSON object\n"
+    )
 
 
 def test_simulate_missing_config_is_usage_error(tmp_path):

@@ -799,6 +799,25 @@ def test_config_rejects_unknown_kind():
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("nodes.0.kind", "thermal", "nodes[0] has unknown reading kind 'thermal'"
+     " (valid kinds: scalar, audio, video)"),
+    ("nodes.0.kind", None, "nodes[0] has unknown reading kind None"
+     " (valid kinds: scalar, audio, video)"),
+    ("nodes.1.kind", 0, "nodes[1] has unknown reading kind 0"
+     " (valid kinds: scalar, audio, video)"),
+    ("nodes.2", {"role": "hub"}, "nodes[2] is missing field 'id'"),
+    ("nodes.3", {"id": 20}, "nodes[3] is missing field 'role'"),
+    ("corruption", [{"frame": 0, "bit": 1}, {"frame": 1}],
+     "corruption[1] is missing field 'bit'"),
+    ("corruption", [{"bit": 1}], "corruption[0] is missing field 'frame'"),
+], ids=["thermal", "null", "zero", "no-id", "no-role", "no-bit", "no-frame"])
+def test_config_errors_name_the_field_or_the_kind(field, value, message):
+    with pytest.raises(InvalidConfigError) as err:
+        config_from_dict(_set(field, value))
+    assert err.value.problems == [f"malformed config: {message}"]
+
+
 def _set(field, value):
     """Demo doc with `field` (dotted keys and list indices) set to `value`."""
     doc = demo_dict()
