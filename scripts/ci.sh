@@ -79,6 +79,13 @@ run_order() {  # the reference properties under five fixed hypothesis seeds
     done
 }
 
+keyed_cipher() {  # one encryptor and decryptor per key, five fixed hypothesis seeds
+    for seed in 1 2 3 4 5; do
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
+            tests/test_cipher.py -k keyed_once --hypothesis-seed="$seed"
+    done
+}
+
 console_script() {
     wsncrypt vectors
     test "$(wsncrypt encrypt --in-hex 4142 --key-hex 5a)" = d8db
@@ -168,6 +175,7 @@ bench() {  # bench WORKLOAD TRACE
 step "Install" install
 step "Tier-1 tests" tier1
 step "Run order (tick-by-tick and group-limit reference properties, every frame's bytes, hypothesis seeds 1-5)" run_order
+step "Keyed cipher (one encryptor and decryptor over messages that grow and shrink, against fresh calls and the reference, hypothesis seeds 1-5)" keyed_cipher
 step "Installed console script (wsncrypt entry point)" console_script
 step "Installed console script attack (3-byte key ffffff, the last lane of the last pass)" console_script_attack
 step "Attack experiment (1- to 3-byte searches, structure-blind trial rate and 64-bit years, key read off one block, effective keyspace)" attack_experiment

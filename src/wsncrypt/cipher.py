@@ -24,6 +24,11 @@ as one SWAP_NOT translate and one message-wide integer XOR.  The bit-stream
 functions below are the definitional forms; the tests prove every path
 equal to them and to a bit-at-a-time reference.
 
+`encryptor(key)` and `decryptor(key)` check the key and build its stream
+once and return the map as a function of the message, for a caller that
+ciphers many messages under one key (the simulator, per sink and run);
+`encrypt` and `decrypt` build one per call.
+
 Output byte j depends only on input byte j and j mod L, so a caller may
 cut a long input into chunks whose lengths are multiples of L and cipher
 each on its own: the joined results equal one call on the whole input.
@@ -145,29 +150,63 @@ def complement(bits: Sequence[int]) -> List[int]:
     return [b ^ 1 for b in bits]
 
 
-def _swap_not_xor(data: bytes, stream_key: bytes, out=None):
-    """Map byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j % L]``."""
-    if type(data) is not bytes:
-        data = _as_bytes(data)
-    step, n = len(stream_key), len(data)
-    if out is not None and len(out) < n:  # see `encrypt`
-        raise ValueError(f"out holds {len(out)} of the message's {n} bytes")
-    if step == 1:
-        result = data.translate(_TABLES[stream_key[0]])
-    elif n < _BULK:
-        stream = (stream_key * -(-n // step))[:n]
-        value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")
-        result = (value ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
-    else:  # each stream byte's table, into a bytearray: a memoryview takes
-        # an extended slice element by element, so it gets one copy below
-        result = out if type(out) is bytearray else bytearray(n)
-        for i, k in enumerate(stream_key):
-            result[i:n:step] = data[i::step].translate(_TABLES[k])
-    if out is None:
-        return bytes(result)  # a translate keeps a bytearray's type
-    if result is not out:
-        out[:n] = result
-    return memoryview(out)[:n]
+def encryptor(key: bytes):
+    """`encrypt` under `key`, with the key checked and its stream built
+    once: returns ``cipher(plaintext, out=None)``, which is
+    ``encrypt(plaintext, key, out)``."""
+    key = _check_key(key)
+    # ~swap(p ^ k) == SWAP_NOT[p] ^ swap(k): the swap is linear.
+    return _stream_map(key.translate(_SWAP_TABLE))
+
+
+def decryptor(key: bytes):
+    """`decrypt` under `key`, as `encryptor` gives `encrypt`."""
+    key = _check_key(key)
+    # swap(~c ^ swap(k)) == SWAP_NOT[c] ^ k.
+    return _stream_map(key)
+
+
+def _stream_map(stream_key: bytes):
+    """The map of byte j of `data` to ``SWAP_NOT[data[j]] ^ stream_key[j %
+    L]``, as a function ``(data, out=None)``.
+
+    Below `_BULK` the repeated stream is one integer, built at the first
+    message's length and rebuilt only when a longer one comes, so it stays
+    under `_BULK` + L bytes; a message takes its first n bytes in one shift.
+    """
+    step, table = len(stream_key), _TABLES[stream_key[0]]
+    prepared = (0, 0)  # (size in bytes, the stream repeated to that size)
+
+    def cipher(data, out=None):
+        nonlocal prepared
+        if type(data) is not bytes:
+            data = _as_bytes(data)
+        n = len(data)
+        if out is not None and len(out) < n:  # see `encrypt`
+            raise ValueError(f"out holds {len(out)} of the message's {n} bytes")
+        if step == 1:
+            result = data.translate(table)
+        elif n < _BULK:
+            size, stream = prepared
+            if n > size:
+                repeats = -(-n // step)
+                size = repeats * step
+                stream = int.from_bytes(stream_key * repeats, "big")
+                prepared = size, stream
+            value = int.from_bytes(data.translate(_SWAP_NOT_TABLE), "big")
+            result = (value ^ (stream >> 8 * (size - n))).to_bytes(n, "big")
+        else:  # each stream byte's table, into a bytearray: a memoryview takes
+            # an extended slice element by element, so it gets one copy below
+            result = out if type(out) is bytearray else bytearray(n)
+            for i, k in enumerate(stream_key):
+                result[i:n:step] = data[i::step].translate(_TABLES[k])
+        if out is None:
+            return bytes(result)  # a translate keeps a bytearray's type
+        if result is not out:
+            out[:n] = result
+        return memoryview(out)[:n]
+
+    return cipher
 
 
 def encrypt(plaintext: bytes, key: bytes, out=None) -> bytes:
@@ -179,13 +218,9 @@ def encrypt(plaintext: bytes, key: bytes, out=None) -> bytes:
     Given `out`, a writable buffer no shorter than the plaintext (else
     ValueError), fills its first n bytes and returns a memoryview of them.
     """
-    key = _check_key(key)
-    # ~swap(p ^ k) == SWAP_NOT[p] ^ swap(k): the swap is linear.
-    return _swap_not_xor(plaintext, key.translate(_SWAP_TABLE), out)
+    return encryptor(key)(plaintext, out)
 
 
 def decrypt(ciphertext: bytes, key: bytes, out=None) -> bytes:
     """Exact inverse of `encrypt` under the same key; `out` as in `encrypt`."""
-    key = _check_key(key)
-    # swap(~c ^ swap(k)) == SWAP_NOT[c] ^ k.
-    return _swap_not_xor(ciphertext, key, out)
+    return decryptor(key)(ciphertext, out)

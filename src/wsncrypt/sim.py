@@ -41,9 +41,11 @@ rejection accounting at the fusion center.
 
 The stages (`sense`, `aggregate`, `relay`, `sink_transmit`) assume a
 validated config: building a SimConfig checks every node, role, edge and
-route once, so the stages re-check none of it.  The run calls only
-`sink_transmit`, and takes a batch's ticks in transit from its hub route's
-hop count, as `relay`'s last entry would give them.
+route once, so the stages re-check none of it.  The run calls none of
+them.  It takes a batch's ticks in transit from its hub route's hop count,
+as `relay`'s last entry would give them.  It keys each sink's `encryptor`
+and the fusion center's `decryptor` per sink once, before the first
+firing, and seals each frame as `sink_transmit` would.
 
 Configs load from JSON; see `config_from_dict` for the exact field names.
 """
@@ -61,7 +63,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import rng
-from .cipher import MAX_KEY_BYTES, decrypt, encrypt
+from .cipher import MAX_KEY_BYTES, decryptor, encrypt, encryptor
 from .topology import (
     ROLE_SINK,
     NodeSpec,
@@ -280,19 +282,23 @@ def fusion_receive(
     can compare the plaintext with the batch its hub sent; only here are
     the readings built.
     """
-    return _build_readings(*_receive(frame_bytes, registry))
+
+    def opener(sink_id: int):
+        key = registry.get(sink_id)
+        return None if key is None else decryptor(key)
+
+    return _build_readings(*_receive(frame_bytes, opener))
 
 
-def _receive(
-    frame_bytes: bytes, registry: Mapping[int, bytes]
-) -> Tuple[bytes, int]:
+def _receive(frame_bytes: bytes, opener: Callable) -> Tuple[bytes, int]:
     """`fusion_receive` short of the readings: the frame's decrypted payload
-    and its record count, once every record has been checked."""
+    and its record count, once every record has been checked.  `opener`
+    gives a sink's `decryptor`, or None for a sink without a key."""
     frame = decode_frame(frame_bytes)
-    key = registry.get(frame.sink_id)
-    if key is None:
+    open_payload = opener(frame.sink_id)
+    if open_payload is None:
         raise UnknownSinkError(f"no key registered for sink {frame.sink_id}")
-    plaintext = decrypt(frame.payload, key)
+    plaintext = open_payload(frame.payload)
     try:
         return plaintext, _count_readings(plaintext)
     except WireError as exc:
@@ -334,13 +340,13 @@ def _validate_config(config: SimConfig) -> List[str]:
     for sink_id in topology.ids_with_role(ROLE_SINK):
         if sink_id not in config.sink_keys:
             problems.append(f"sink {sink_id} has no key")
-    for owner, key in list(config.sink_keys.items()) + list(
-        config.registry.items()
+    # once per sink: the registry defaults to a copy of the sinks' keys
+    for owner in dict.fromkeys(
+        owner
+        for owner, key in [*config.sink_keys.items(), *config.registry.items()]
+        if not 1 <= len(key) <= MAX_KEY_BYTES
     ):
-        if not 1 <= len(key) <= MAX_KEY_BYTES:
-            problems.append(
-                f"key for sink {owner} must be 1..{MAX_KEY_BYTES} bytes"
-            )
+        problems.append(f"key for sink {owner} must be 1..{MAX_KEY_BYTES} bytes")
     for hook in config.corruption:
         if hook.frame_index < 0 or hook.bit_index < 0:
             problems.append("corruption indices must be non-negative")
@@ -424,7 +430,9 @@ def run_simulation(config: SimConfig) -> SimReport:
             ticks = range(period, duration + 1, period)
             firing = itertools.repeat((cohort, dests, cuts))
             firings.append(zip(zip(ticks, itertools.repeat(group[0])), firing))
-    sink_keys, registry = config.sink_keys, config.registry
+    # each sink's cipher and the fusion center's, keyed once for the run
+    seals = {sink: encryptor(key) for sink, key in config.sink_keys.items()}
+    opener = {sink: decryptor(key) for sink, key in config.registry.items()}.get
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
@@ -455,9 +463,8 @@ def run_simulation(config: SimConfig) -> SimReport:
             stats = per_sink[sink_id]
             # a sink's frame count is its next sequence number, and the
             # run's frame count the next frame's corruption index
-            frame = sink_transmit(
-                sink_id, payload, stats.frames_sent, sink_keys[sink_id]
-            )
+            # `sink_transmit`, with the sink's cipher keyed once
+            frame = Frame(sink_id, stats.frames_sent, seals[sink_id](payload))
             encoded = encode_frame(frame)
             for bit in corruption.get(report.frames_sent, ()):
                 if bit < 8 * len(encoded):
@@ -467,7 +474,7 @@ def run_simulation(config: SimConfig) -> SimReport:
             report.frames_delivered += 1
             stats.frames_delivered += 1
             try:
-                plaintext, count = _receive(encoded, registry)
+                plaintext, count = _receive(encoded, opener)
             except DecodeError as exc:
                 kind = exc.kind
                 report.frames_rejected[kind] = (
@@ -553,14 +560,14 @@ def config_from_dict(doc: dict) -> SimConfig:
                     else None
                 ),
             )
-            for i, n in enumerate(doc["nodes"])
+            for i, n in enumerate(_array(doc["nodes"], "'nodes'"))
         )
-        edges = tuple(
-            (_int(a, "edge end"), _int(b, "edge end")) for a, b in doc["edges"]
-        )
+        edges = tuple(map(_edge, itertools.count(), _array(doc["edges"], "'edges'")))
         routes = {
-            _id_key(owner, "routes"): tuple(_int(x, "route node") for x in path)
-            for owner, path in _object(doc, "routes").items()
+            _id_key(owner, "routes"): tuple(
+                _int(x, "route node") for x in _array(path, f"routes[{owner!r}]")
+            )
+            for owner, path in _object(doc["routes"], "'routes'").items()
         }
         sink_keys = _keys(doc, "keys")
         registry = (
@@ -573,7 +580,7 @@ def config_from_dict(doc: dict) -> SimConfig:
                 _int(_field(c, "frame", f"corruption[{i}]"), "corruption frame"),
                 _int(_field(c, "bit", f"corruption[{i}]"), "corruption bit"),
             )
-            for i, c in enumerate(doc.get("corruption", ()))
+            for i, c in enumerate(_array(doc.get("corruption", ()), "'corruption'"))
         )
         seed = _int(doc["seed"], "seed")
         duration = _int(doc["duration_ticks"], "duration_ticks")
@@ -605,6 +612,8 @@ def _field(entry: dict, name: str, where: str):
         return entry[name]
     except KeyError:
         raise ValueError(f"{where} is missing field {name!r}") from None
+    except TypeError:  # a list, string or number indexed by a str
+        raise TypeError(f"{where} must be a JSON object") from None
 
 
 def _kind(value, where: str) -> ReadingKind:
@@ -625,17 +634,38 @@ def _id_key(key: str, name: str) -> int:
     return int(key)
 
 
-def _object(doc: dict, name: str) -> dict:
-    if not isinstance(doc[name], dict):
-        raise TypeError(f"{name!r} must be a JSON object")
-    return doc[name]
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{where} must be a JSON object")
+    return value
+
+
+def _array(value, where: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{where} must be a JSON array")
+    return value
+
+
+def _edge(i: int, entry) -> Tuple[int, int]:
+    try:
+        a, b = entry
+    except (TypeError, ValueError):  # not iterable, or not 2 items
+        raise ValueError(f"edges[{i}] must be a pair of node ids") from None
+    return _int(a, "edge end"), _int(b, "edge end")
 
 
 def _keys(doc: dict, name: str) -> Dict[int, bytes]:
     return {
-        _id_key(owner, name): bytes.fromhex(hexkey)
-        for owner, hexkey in _object(doc, name).items()
+        _id_key(owner, name): _hex(hexkey, f"{name}[{owner!r}]")
+        for owner, hexkey in _object(doc[name], repr(name)).items()
     }
+
+
+def _hex(value, where: str) -> bytes:
+    try:
+        return bytes.fromhex(value)
+    except (TypeError, ValueError):  # not a str, or not hex digit pairs
+        raise ValueError(f"{where} must be a hex string") from None
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:

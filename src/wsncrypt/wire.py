@@ -280,17 +280,19 @@ def _count_readings(data: bytes) -> int:
     if end < COUNT_LEN:
         raise TruncatedError("batch shorter than its count field")
     (count,) = _COUNT.unpack_from(data)
-    unpack_from, kinds = _RECORD.unpack_from, _KIND_OF_BYTE
+    kinds = _KIND_OF_BYTE
     size = RECORD_HEADER_LEN
     last_header = end - size  # the last offset a record header fits at
     pos = COUNT_LEN
     for _ in range(count):
         if pos > last_header:
             raise TruncatedError("record header runs past end of batch")
-        _, _, kind_code, value_len = unpack_from(data, pos)
+        # node_id and timestamp fill bytes 0-5 of a header, kind byte 6 and
+        # value_length byte 7
+        kind_code = data[pos + 6]
         if kinds[kind_code] is None:
             raise BadKindError(f"kind byte {kind_code} is not defined")
-        pos += size + value_len
+        pos += size + data[pos + 7]
         if pos > end:
             raise TruncatedError("record value runs past end of batch")
     if pos != end:

@@ -15,7 +15,9 @@ from wsncrypt.cipher import (
     bytes_to_bits,
     complement,
     decrypt,
+    decryptor,
     encrypt,
+    encryptor,
     key_directed_xor,
 )
 
@@ -376,3 +378,68 @@ def test_an_int_is_neither_message_nor_key(cipher):
         cipher(5, b"k")
     with pytest.raises(TypeError):
         cipher(b"abc", 1)
+
+
+# -- one key, many messages (`encryptor`, `decryptor`) ----------------------------
+
+# the message lengths a keyed cipher meets in turn: short ones of every size
+# up to a few key periods, and the lengths either side of the bulk fork
+keyed_lengths = st.integers(0, 300) | st.sampled_from([0, _BULK - 1, _BULK, _BULK + 1])
+# how a message is passed, and the buffer (with 8 spare bytes) it goes into
+keyed_wraps = st.sampled_from([bytes, bytearray, memoryview])
+keyed_outs = st.sampled_from([None, bytearray, memoryview])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.binary(min_size=1, max_size=32) | st.binary(min_size=1, max_size=1),
+    st.lists(st.tuples(keyed_lengths, keyed_wraps, keyed_outs), max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+@example(b"\x5a", [(0, bytes, None), (_BULK + 1, bytes, None), (3, bytes, None)], 0)
+@example(b"\x5a\x0f\xc3", [(200, bytes, None), (_BULK - 1, memoryview, bytearray),
+                           (0, bytes, None), (7, bytearray, memoryview),
+                           (_BULK, bytes, None), (250, bytes, bytearray)], 1)
+def test_keyed_once_equals_a_call_per_message(key, messages, seed):
+    """One encryptor and one decryptor give, message by message, what a
+    fresh `encrypt`/`decrypt` gives, whatever lengths came before; below
+    1 KiB (a bit-at-a-time call costs ~0.1 s per 32 KiB) also the reference."""
+    seal, unseal = encryptor(key), decryptor(key)
+    rng = random.Random(seed)
+    for size, wrap, out in messages:
+        plaintext = rng.randbytes(size)
+        ciphertext = encrypt(plaintext, key)
+        if size < 1024:
+            assert ciphertext == ref_encrypt(plaintext, key)
+            assert decrypt(ciphertext, key) == ref_decrypt(ciphertext, key)
+        for cipher, given, want in ((seal, plaintext, ciphertext),
+                                    (unseal, ciphertext, plaintext)):
+            if out is None:
+                assert cipher(wrap(given)) == want
+            else:
+                buffer = bytearray(b"\xa5" * (size + 8))
+                into = buffer if out is bytearray else memoryview(buffer)
+                assert cipher(wrap(given), into) == want
+                assert buffer == want + b"\xa5" * 8
+
+
+@pytest.mark.parametrize("key_len", [1, 2, 32])
+def test_keyed_once_against_the_reference_across_the_bulk_fork(key_len):
+    # the reference is positional, so a prefix of its output is its output
+    # for the prefix; one long pair serves every length
+    plaintext, key, ciphertext = reference_pair(_BULK + 1, key_len)
+    seal, unseal = encryptor(key), decryptor(key)
+    for size in (_BULK - 1, 16, _BULK + 1, 0, _BULK, 5, 300):
+        assert seal(plaintext[:size]) == ciphertext[:size]
+        assert unseal(ciphertext[:size]) == plaintext[:size]
+
+
+@pytest.mark.parametrize("make", [encryptor, decryptor])
+def test_keyed_once_checks_the_key_when_built(make):
+    with pytest.raises(EmptyKeyError):
+        make(b"")
+    with pytest.raises(KeyLengthError):
+        make(bytes(33))
+    with pytest.raises(TypeError):
+        make(1)
+    assert make(memoryview(b"\x5a\xa5").cast("H"))(b"ab") == make(b"\x5a\xa5")(b"ab")

@@ -930,6 +930,9 @@ def _add_video_sensors(doc, count):
     (lambda doc: doc.update(keys={}), "sink 30 has no key"),
     (lambda doc: doc.update(fusion_registry={"30": "00" * 33}),
      "key for sink 30 must be 1..32 bytes"),
+    # no fusion_registry: the one bad key is the registry's too
+    (lambda doc: doc.update(keys={"30": ""}),
+     "key for sink 30 must be 1..32 bytes"),
     (lambda doc: doc.update(corruption=[{"frame": -1, "bit": 0}]),
      "corruption indices must be non-negative"),
 ], ids=["duration", "seed", "self-loop", "fusion-centers", "node-id",
@@ -939,7 +942,8 @@ def _add_video_sensors(doc, count):
         "short-route", "route-start", "hub-route-end", "sink-route-end",
         "route-unknown-node", "route-missing-edge", "worst-case-batch",
         "corruption-bit", "duration-positive", "period-positive",
-        "latency-positive", "sink-key", "key-length", "corruption-negative"])
+        "latency-positive", "sink-key", "key-length", "key-length-once",
+        "corruption-negative"])
 def test_each_validation_bound_is_one_error_line_and_exit_2(change, message,
                                                             tmp_path, capsys):
     doc = json.loads(CONFIG_PATH.read_text())

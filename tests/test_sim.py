@@ -14,7 +14,7 @@ import sim_reference
 from sim_reference import ref_run_simulation
 
 from wsncrypt import sim
-from wsncrypt.cipher import encrypt
+from wsncrypt.cipher import encrypt, encryptor
 from wsncrypt.sim import (
     VALUE_LENGTHS,
     DecodeAfterDecryptError,
@@ -671,12 +671,17 @@ def test_flush_encodes_each_batch_in_node_then_time_order(periods):
     )
     payloads = []
 
-    def recording(sink_id, payload, sequence, key):
-        payloads.append(payload)
-        return sink_transmit(sink_id, payload, sequence, key)
+    def recording(key):  # the sink's cipher, noting each payload it seals
+        seal = encryptor(key)
+
+        def sealed(payload):
+            payloads.append(payload)
+            return seal(payload)
+
+        return sealed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "sink_transmit", recording)
+        patch.setattr(sim, "encryptor", recording)
         report = run_simulation(config)
     assert report.fidelity_ok
     # the hub's batch of each tick on which any of its sensors fired
@@ -811,7 +816,25 @@ def test_config_rejects_unknown_kind():
     ("corruption", [{"frame": 0, "bit": 1}, {"frame": 1}],
      "corruption[1] is missing field 'bit'"),
     ("corruption", [{"bit": 1}], "corruption[0] is missing field 'frame'"),
-], ids=["thermal", "null", "zero", "no-id", "no-role", "no-bit", "no-frame"])
+    # an entry of the wrong shape is named, not Python's own message
+    ("nodes", {"a": 1}, "'nodes' must be a JSON array"),
+    ("nodes.0", [1, "sensor"], "nodes[0] must be a JSON object"),
+    ("edges", {"a": 1}, "'edges' must be a JSON array"),
+    ("edges.0", 5, "edges[0] must be a pair of node ids"),
+    ("edges.0", [1, 10, 30], "edges[0] must be a pair of node ids"),
+    ("edges.0", [1], "edges[0] must be a pair of node ids"),
+    ("routes", {"10": 10, "30": [30, 20, 99]}, "routes['10'] must be a JSON array"),
+    ("routes", {"10": "10,30", "30": [30, 20, 99]},
+     "routes['10'] must be a JSON array"),
+    ("keys", {"30": 5}, "keys['30'] must be a hex string"),
+    ("keys", {"30": "zz"}, "keys['30'] must be a hex string"),
+    ("fusion_registry", {"30": None}, "fusion_registry['30'] must be a hex string"),
+    ("corruption", {"frame": 0, "bit": 1}, "'corruption' must be a JSON array"),
+    ("corruption", [[0, 1]], "corruption[0] must be a JSON object"),
+], ids=["thermal", "null", "zero", "no-id", "no-role", "no-bit", "no-frame",
+        "nodes-object", "node-list", "edges-object", "edge-int", "edge-triple",
+        "edge-single", "route-int", "route-string", "key-int", "key-not-hex",
+        "registry-null", "corruption-object", "corruption-list"])
 def test_config_errors_name_the_field_or_the_kind(field, value, message):
     with pytest.raises(InvalidConfigError) as err:
         config_from_dict(_set(field, value))
