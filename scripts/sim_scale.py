@@ -11,12 +11,14 @@ nodes; the last is near the u16 id cap of 65,535.  Each rung runs in a
 fresh process, so the peak RSS printed for it is its own.
 
 Per rung the script prints the node count, the milliseconds that
-`config_from_dict` takes to build (and validate) the config, the median
-readings/s of the runs made in at least one second, and the peak RSS.  It
-checks every run's report against `workloads.expected_report` and exits 1
-on any mismatch.
+`json.loads` takes to parse the network's JSON text and that
+`config_from_dict` then takes to build (and validate) the config from it,
+the median readings/s of the runs made in at least one second, and the
+peak RSS.  It checks every run's report against `workloads.expected_report`
+and exits 1 on any mismatch.
 """
 
+import json
 import multiprocessing
 import os
 import random
@@ -38,14 +40,18 @@ MIN_SECONDS = 1.0
 
 
 def measure(hubs, sensors):
-    """(nodes, build ms, median readings/s, peak RSS MB, every report right)."""
-    doc = workloads.network_doc(
+    """(nodes, JSON-load ms, build ms, median readings/s, peak RSS MB, every
+    report right)."""
+    text = json.dumps(workloads.network_doc(
         random.Random(f"sim-scale:{hubs}x{sensors}"), hubs, sensors, TICKS, None
-    )
-    expected = workloads.expected_report(doc)
+    ))
+    start = time.perf_counter()
+    doc = json.loads(text)
+    load_ms = 1e3 * (time.perf_counter() - start)
     start = time.perf_counter()
     config = config_from_dict(doc)
     build_ms = 1e3 * (time.perf_counter() - start)
+    expected = workloads.expected_report(doc)
     rates, spent, correct = [], 0.0, True
     while spent < MIN_SECONDS:
         start = time.perf_counter()
@@ -55,7 +61,9 @@ def measure(hubs, sensors):
         rates.append(report.readings_sensed / seconds)
         correct = correct and report_to_dict(report) == expected
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return len(doc["nodes"]), build_ms, statistics.median(rates), peak_mb, correct
+    return (
+        len(doc["nodes"]), load_ms, build_ms, statistics.median(rates), peak_mb, correct
+    )
 
 
 def main():
@@ -63,9 +71,12 @@ def main():
     # one rung per worker process, one process at a time
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         for hubs, sensors in RUNGS:
-            nodes, build_ms, rate, peak_mb, correct = pool.apply(measure, (hubs, sensors))
+            nodes, load_ms, build_ms, rate, peak_mb, correct = pool.apply(
+                measure, (hubs, sensors)
+            )
             print(
-                f"{hubs:>3}x{sensors:<3} {nodes:>6,} nodes  build {build_ms:7.1f} ms"
+                f"{hubs:>3}x{sensors:<3} {nodes:>6,} nodes  JSON load {load_ms:6.1f} ms"
+                f"  build {build_ms:7.1f} ms"
                 f"  {rate:>9,.0f} readings/s  peak RSS {peak_mb:6.1f} MB"
                 f"  {'ok' if correct else 'REPORT MISMATCH'}",
                 flush=True,

@@ -347,9 +347,12 @@ def _validate_config(config: SimConfig) -> List[str]:
         if not 1 <= len(key) <= MAX_KEY_BYTES
     ):
         problems.append(f"key for sink {owner} must be 1..{MAX_KEY_BYTES} bytes")
-    for hook in config.corruption:
-        if hook.frame_index < 0 or hook.bit_index < 0:
-            problems.append("corruption indices must be non-negative")
+    for i, hook in enumerate(config.corruption):
+        for name, index in (("frame", hook.frame_index), ("bit", hook.bit_index)):
+            if index < 0:
+                problems.append(
+                    f"corruption[{i}].{name} must be non-negative, got {index}"
+                )
     return problems
 
 
@@ -521,151 +524,147 @@ def run_simulation(config: SimConfig) -> SimReport:
 
 # -- config / report JSON ----------------------------------------------------
 
-CONFIG_FIELDS = (
-    "nodes",
-    "edges",
-    "routes",
-    "keys",
-    "seed",
-    "duration_ticks",
-    "sense_period_ticks",
-    "hop_latency_ticks",
-)
+# Each top-level field's shape, checked in this order: `int` is a JSON
+# integer (not a float, string or bool), `str` any value (as its str), `bytes`
+# a hex string, `ReadingKind` a kind's name in any case, a class in _RECORDS a
+# JSON object of its fields and no other, [s] a JSON array of s, (int, int) a
+# pair of node ids and {int: s} a JSON object from decimal id to s.
+_SHAPES = {
+    "nodes": [NodeSpec],
+    "edges": [(int, int)],
+    "routes": {int: [int]},
+    "keys": {int: bytes},
+    "fusion_registry": {int: bytes},
+    "corruption": [FrameCorruption],
+    "seed": int,
+    "duration_ticks": int,
+    "sense_period_ticks": int,
+    "hop_latency_ticks": int,
+}
+# each record's JSON fields, in the order of its class's fields; a field is
+# required unless it is in _OPTIONAL
+_RECORDS = {
+    NodeSpec: {"id": int, "role": str, "kind": ReadingKind, "sense_period_ticks": int},
+    FrameCorruption: {"frame": int, "bit": int},
+}
+_OPTIONAL = frozenset({"kind", "sense_period_ticks"})
+_PLAIN = (int, str)  # leaf shapes that keep a value of exactly their type
+_KIND_NAMES = dict(ReadingKind.__members__)  # ReadingKind[name], without a call
 
 
 def config_from_dict(doc: dict) -> SimConfig:
-    """Build a SimConfig from a parsed JSON document.
-
-    Required fields: `nodes` (list of {id, role, kind?, sense_period_ticks?}),
-    `edges` (list of [a, b] pairs), `routes` (map of hub/sink id to node-id
-    path), `keys` (map of sink id to lowercase hex key), `seed`,
-    `duration_ticks`, `sense_period_ticks`, `hop_latency_ticks`.  Optional:
-    `fusion_registry` (map like `keys`, overriding what the fusion center
-    knows; defaults to `keys`) and `corruption` (list of {frame, bit}).
-    Every number must be a JSON integer; map keys are canonical decimal id
-    strings ("0" or no leading zero, sign, space or underscore).
-    """
-    problems = [f"missing field {f!r}" for f in CONFIG_FIELDS if f not in doc]
+    """Build a SimConfig from a parsed JSON document with the fields of
+    `_SHAPES`; `fusion_registry` (by default `keys`) and `corruption` are
+    optional.  Lists every missing or unknown field, or else names the first
+    value of the wrong type or shape by its JSON path."""
+    problems = [
+        f"missing field {f!r}" for f in _SHAPES
+        if f not in doc and f not in ("fusion_registry", "corruption")
+    ]
+    problems += [f"unknown field {f!r}" for f in doc if f not in _SHAPES]
     if problems:
         raise InvalidConfigError(problems)
     try:
-        nodes = tuple(
-            NodeSpec(
-                id=_int(_field(n, "id", f"nodes[{i}]"), "node id"),
-                role=str(_field(n, "role", f"nodes[{i}]")),
-                kind=_kind(n["kind"], f"nodes[{i}]") if "kind" in n else None,
-                sense_period_ticks=(
-                    _int(n["sense_period_ticks"], "sense_period_ticks")
-                    if "sense_period_ticks" in n
-                    else None
-                ),
-            )
-            for i, n in enumerate(_array(doc["nodes"], "'nodes'"))
-        )
-        edges = tuple(map(_edge, itertools.count(), _array(doc["edges"], "'edges'")))
-        routes = {
-            _id_key(owner, "routes"): tuple(
-                _int(x, "route node") for x in _array(path, f"routes[{owner!r}]")
-            )
-            for owner, path in _object(doc["routes"], "'routes'").items()
+        fields = {
+            name: _walk(doc[name], shape, None, name)
+            for name, shape in _SHAPES.items()
+            if name in doc
         }
-        sink_keys = _keys(doc, "keys")
-        registry = (
-            _keys(doc, "fusion_registry")
-            if "fusion_registry" in doc
-            else dict(sink_keys)
-        )
-        corruption = tuple(
-            FrameCorruption(
-                _int(_field(c, "frame", f"corruption[{i}]"), "corruption frame"),
-                _int(_field(c, "bit", f"corruption[{i}]"), "corruption bit"),
-            )
-            for i, c in enumerate(_array(doc.get("corruption", ()), "'corruption'"))
-        )
-        seed = _int(doc["seed"], "seed")
-        duration = _int(doc["duration_ticks"], "duration_ticks")
-        period = _int(doc["sense_period_ticks"], "sense_period_ticks")
-        latency = _int(doc["hop_latency_ticks"], "hop_latency_ticks")
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError([f"malformed config: {exc}"]) from exc
+    except ValueError as bad:  # _Malformed, or an id key past int()'s digit limit
+        raise InvalidConfigError([f"malformed config: {bad}"]) from None
+    nodes, edges, routes, keys = map(fields.pop, ("nodes", "edges", "routes", "keys"))
     return SimConfig(
-        topology=Topology(nodes=nodes, edges=edges, routes=routes),
-        sink_keys=sink_keys,
-        registry=registry,
-        seed=seed,
-        duration_ticks=duration,
-        sense_period_ticks=period,
-        hop_latency_ticks=latency,
-        corruption=corruption,
+        topology=Topology(nodes, edges, routes),
+        sink_keys=keys,
+        registry=dict(fields.pop("fusion_registry", keys)),
+        **fields,  # the rest have SimConfig's names
     )
 
 
-def _int(value, what: str) -> int:
-    # bool is an int subclass, so compare the exact type
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+class _Malformed(ValueError):
+    """A config value that does not fit its shape: args are its path, a chain
+    of (parent, step) pairs from (None, top-level name), and what is wrong."""
+
+    def __str__(self) -> str:
+        (parent, step), what = self.args
+        if parent is None:  # only the top-level name, quoted
+            return f"{step!r} {what}"
+        text = f" {what}"
+        while parent is not None:
+            # a map's keys are checked to be decimal ids before its values
+            # are walked, and no field name is one
+            fmt = "[{}]" if type(step) is int else "[{!r}]" if step.isdigit() else ".{}"
+            text = fmt.format(step) + text
+            parent, step = parent
+        return step + text
 
 
-def _field(entry: dict, name: str, where: str):
-    try:
-        return entry[name]
-    except KeyError:
-        raise ValueError(f"{where} is missing field {name!r}") from None
-    except TypeError:  # a list, string or number indexed by a str
-        raise TypeError(f"{where} must be a JSON object") from None
-
-
-def _kind(value, where: str) -> ReadingKind:
-    try:
-        return ReadingKind[str(value).upper()]
-    except KeyError:
-        valid = ", ".join(kind.name.lower() for kind in ReadingKind)
-        raise ValueError(
-            f"{where} has unknown reading kind {value!r} (valid kinds: {valid})"
-        ) from None
-
-
-def _id_key(key: str, name: str) -> int:
-    # int() would also take "030", "+30", "3_0" and " 30", so two spellings
-    # of one id could collide in a map and the last would silently win
-    if not re.fullmatch(r"0|[1-9][0-9]*", key):
-        raise ValueError(f"{name!r} key {key!r} is not a canonical decimal id")
-    return int(key)
-
-
-def _object(value, where: str) -> dict:
+def _walk(value, shape, path, step):
+    """`value`, at `step` below `path`, checked against `shape` and built (an
+    array as a tuple, a map as a dict by id, a record as its class), or
+    _Malformed for its first value that does not fit.  The shapes come in the
+    order of how often a valid config meets them here."""
+    if type(shape) is tuple:  # (int, int), the one pair shape
+        try:
+            a, b = value
+        except (TypeError, ValueError):  # not iterable, or not 2 items
+            raise _Malformed((path, step), "must be a pair of node ids") from None
+        if type(a) is int and type(b) is int:
+            return a, b
+        return _walk(a, int, (path, step), 0), _walk(b, int, (path, step), 1)
+    if shape is ReadingKind:
+        kind = _KIND_NAMES.get(str(value).upper())
+        if kind is None:  # named by its entry, not the field
+            valid = ", ".join(_KIND_NAMES).lower()
+            what = f"has unknown reading kind {value!r} (valid kinds: {valid})"
+            raise _Malformed(path, what)
+        return kind
+    if shape is int:
+        if type(value) is int:  # bool is an int subclass, so the exact type
+            return value
+        raise _Malformed((path, step), f"must be an integer, got {value!r}")
+    here = (path, step)
+    if type(shape) is list:
+        if not isinstance(value, (list, tuple)):
+            raise _Malformed(here, "must be a JSON array")
+        inner, paths = itertools.repeat(shape[0]), itertools.repeat(here)
+        return tuple(map(_walk, value, inner, paths, itertools.count()))
+    if type(shape) is dict:
+        if not isinstance(value, dict):
+            raise _Malformed(here, "must be a JSON object")
+        out = {}
+        for key, entry in value.items():
+            # int() would also take "030", "+30", "3_0" and " 30", so two
+            # spellings of one id could collide and the last would win
+            if not (isinstance(key, str) and re.fullmatch(r"0|[1-9][0-9]*", key)):
+                raise _Malformed(here, f"key {key!r} is not a canonical decimal id")
+            out[int(key)] = _walk(entry, shape[int], here, key)
+        return out
+    if shape is str:
+        return str(value)
+    if shape is bytes:
+        try:
+            return bytes.fromhex(value)
+        except (TypeError, ValueError):  # not a str, or not hex digit pairs
+            raise _Malformed(here, "must be a hex string") from None
+    fields = _RECORDS[shape]
     if not isinstance(value, dict):
-        raise TypeError(f"{where} must be a JSON object")
-    return value
-
-
-def _array(value, where: str) -> Sequence:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"{where} must be a JSON array")
-    return value
-
-
-def _edge(i: int, entry) -> Tuple[int, int]:
-    try:
-        a, b = entry
-    except (TypeError, ValueError):  # not iterable, or not 2 items
-        raise ValueError(f"edges[{i}] must be a pair of node ids") from None
-    return _int(a, "edge end"), _int(b, "edge end")
-
-
-def _keys(doc: dict, name: str) -> Dict[int, bytes]:
-    return {
-        _id_key(owner, name): _hex(hexkey, f"{name}[{owner!r}]")
-        for owner, hexkey in _object(doc[name], repr(name)).items()
-    }
-
-
-def _hex(value, where: str) -> bytes:
-    try:
-        return bytes.fromhex(value)
-    except (TypeError, ValueError):  # not a str, or not hex digit pairs
-        raise ValueError(f"{where} must be a hex string") from None
+        raise _Malformed(here, "must be a JSON object")
+    built = []
+    for name, inner in fields.items():
+        if name in value:
+            field = value[name]
+            plain = type(field) is inner and inner in _PLAIN
+            built.append(field if plain else _walk(field, inner, here, name))
+        elif name in _OPTIONAL:
+            built.append(None)
+        else:
+            raise _Malformed(here, f"is missing field {name!r}")
+    # a built field is never None, so each None is an absent one
+    if len(value) > len(fields) - built.count(None):
+        unknown = next(name for name in value if name not in fields)
+        raise _Malformed(here, f"has unknown field {unknown!r}")
+    return shape(*built)
 
 
 def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:

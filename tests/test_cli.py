@@ -934,7 +934,7 @@ def _add_video_sensors(doc, count):
     (lambda doc: doc.update(keys={"30": ""}),
      "key for sink 30 must be 1..32 bytes"),
     (lambda doc: doc.update(corruption=[{"frame": -1, "bit": 0}]),
-     "corruption indices must be non-negative"),
+     "corruption[0].frame must be non-negative, got -1"),
 ], ids=["duration", "seed", "self-loop", "fusion-centers", "node-id",
         "duplicate-id", "unknown-role", "no-kind", "sensor-period",
         "non-sensor-kind", "non-sensor-period", "unknown-edge-end",
@@ -956,6 +956,25 @@ def test_each_validation_bound_is_one_error_line_and_exit_2(change, message,
     assert run(["simulate", "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_each_bad_corruption_field_is_its_own_error_line(tmp_path, capsys):
+    doc = json.loads(CONFIG_PATH.read_text())
+    doc["corruption"] = [{"frame": 0, "bit": -1}, {"frame": -2, "bit": 3}]
+    messages = [
+        "corruption[0].bit must be non-negative, got -1",
+        "corruption[1].frame must be non-negative, got -2",
+    ]
+    with pytest.raises(InvalidConfigError) as raised:
+        config_from_dict(doc)
+    assert raised.value.problems == messages
+    config_path = tmp_path / "invalid.json"
+    config_path.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "".join(f"error: {message}\n" for message in messages)
+    )
 
 
 @pytest.mark.parametrize("root", ["[]", "null", "7", '"config"'])

@@ -1,19 +1,23 @@
 import copy
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
+import os
 import runpy
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 import sim_reference
 from sim_reference import ref_run_simulation
 
-from wsncrypt import sim
+from wsncrypt import cli, sim
 from wsncrypt.cipher import encrypt, encryptor
 from wsncrypt.sim import (
     VALUE_LENGTHS,
@@ -33,7 +37,7 @@ from wsncrypt.sim import (
     sense,
     sink_transmit,
 )
-from wsncrypt.topology import NodeSpec, Topology, validate_topology
+from wsncrypt.topology import ROLE_SENSOR, NodeSpec, Topology, validate_topology
 from wsncrypt.wire import (
     COUNT_LEN,
     HEADER_LEN,
@@ -841,6 +845,44 @@ def test_config_errors_name_the_field_or_the_kind(field, value, message):
     assert err.value.problems == [f"malformed config: {message}"]
 
 
+# the integer checks and the unknown fields, each named by its JSON path
+@pytest.mark.parametrize("field, value, message", [
+    ("nodes.3.id", "20", "nodes[3].id must be an integer, got '20'"),
+    ("nodes.0.sense_period_ticks", 1.5,
+     "nodes[0].sense_period_ticks must be an integer, got 1.5"),
+    ("edges.0.1", 1.5, "edges[0][1] must be an integer, got 1.5"),
+    ("routes", {"10": [10, "30"], "30": [30, 20, 99]},
+     "routes['10'][1] must be an integer, got '30'"),
+    ("routes", {"10": [10, 30], "030": [30, 20, 99]},
+     "'routes' key '030' is not a canonical decimal id"),
+    ("seed", 1.7, "'seed' must be an integer, got 1.7"),
+    ("hop_latency_ticks", "1", "'hop_latency_ticks' must be an integer, got '1'"),
+    ("corruption", [{"frame": 0, "bit": True}],
+     "corruption[0].bit must be an integer, got True"),
+    ("nodes.0.sense_period_tick", 5, "nodes[0] has unknown field 'sense_period_tick'"),
+    ("corruption", [{"frame": 0, "bit": 1, "byte": 0}],
+     "corruption[0] has unknown field 'byte'"),
+], ids=["node-id", "node-period", "edge-end", "route-node", "route-key", "seed",
+        "latency", "corruption-bit", "node-typo", "corruption-typo"])
+def test_config_errors_name_the_value_by_its_path(field, value, message):
+    with pytest.raises(InvalidConfigError) as err:
+        config_from_dict(_set(field, value))
+    assert err.value.problems == [f"malformed config: {message}"]
+
+
+def test_unknown_fields_are_listed_after_missing_ones():
+    doc = demo_dict()
+    doc["fusion_registy"] = {"30": "00"}
+    doc["sede"] = doc.pop("seed")
+    with pytest.raises(InvalidConfigError) as err:
+        config_from_dict(doc)
+    assert err.value.problems == [
+        "missing field 'seed'",
+        "unknown field 'fusion_registy'",
+        "unknown field 'sede'",
+    ]
+
+
 def _set(field, value):
     """Demo doc with `field` (dotted keys and list indices) set to `value`."""
     doc = demo_dict()
@@ -877,6 +919,8 @@ def _set(field, value):
         ("keys", {"+30": "5a5a5a5a5a5a5a5a"}),
         ("fusion_registry", {"3_0": "5a5a5a5a5a5a5a5a"}),
         ("keys", {" 30": "5a5a5a5a5a5a5a5a"}),
+        # an id key too long for int() (JSON limits a number, not a string)
+        ("routes", {"10": [10, 30], "30": [30, 20, 99], "1" * 5000: [10, 30]}),
     ],
 )
 def test_config_rejects_bad_shapes_and_types(field, value):
@@ -906,23 +950,86 @@ json_values = st.recursive(
 )
 
 
-@given(
-    st.sampled_from(
-        [*_json_paths(demo_dict()), ("fusion_registry",), ("corruption",)]
-    ),
-    json_values,
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+# any JSON value, or one of a kind that some config value takes, so that
+# some mutants still validate and run
+config_values = json_values | st.integers(-1, 100) | st.sampled_from(
+    ["scalar", "video", "sensor", "relay", "5a", "", "30"]
 )
-def test_config_from_dict_raises_only_invalid_config_error(path, value):
+# real field names, near-misses of them, and any short text
+config_keys = st.sampled_from([
+    "kind", "sense_period_ticks", "fusion_registry", "corruption",
+    "fusion_registy", "sense_period_tick",
+]) | st.text(max_size=4)
+
+
+@st.composite
+def mutated_demo_docs(draw):
+    """The demo config after 1 to 3 edits, each one of: a value replaced,
+    a key or entry deleted, or a key added to an object."""
     doc = demo_dict()
-    *parents, last = path
-    target = doc
-    for step in parents:
-        target = target[step]
-    target[last] = value
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        if edit == "add":
+            objects = [()] + [p for p in paths if isinstance(_at(doc, p), dict)]
+            target = _at(doc, draw(st.sampled_from(objects)))
+            target[draw(config_keys)] = draw(config_values)
+        elif edit == "delete" and paths:
+            *parents, last = draw(st.sampled_from(paths))
+            del _at(doc, parents)[last]
+        elif edit == "replace":
+            *parents, last = draw(st.sampled_from(paths))
+            _at(doc, parents)[last] = draw(config_values)
+    return doc
+
+
+# a config that validates is run; one that would sense more readings than
+# this is skipped (and counted as a Hypothesis event), since a valid
+# duration_ticks of 2**32 - 1 at period 1 would run for hours
+READING_CAP = 10**5
+
+
+@settings(deadline=None)
+@given(mutated_demo_docs())
+@example(demo_dict())
+@example({**demo_dict(), "fusion_registy": {"30": "00"}})
+def test_config_from_dict_raises_only_invalid_config_error(doc):
     try:
-        config_from_dict(doc)
-    except InvalidConfigError:
-        pass
+        config = config_from_dict(doc)
+    except InvalidConfigError as exc:
+        problems = exc.problems
+    else:
+        problems = []
+        readings = sum(
+            config.duration_ticks
+            // (node.sense_period_ticks or config.sense_period_ticks)
+            for node in config.topology.nodes
+            if node.role == ROLE_SENSOR
+        )
+        if readings > READING_CAP:
+            event("skipped: more readings than READING_CAP")
+            return
+        json.dumps(report_to_dict(run_simulation(config)))
+    # the CLI: a run's exit code, or exit 2 with one error line per problem
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["simulate", "--config", path])
+    if problems:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == "".join(f"error: {p}\n" for p in problems)
+    else:
+        assert code in (0, 1)
+        assert err.getvalue() == ""
 
 
 def test_config_object_keys_parse_as_ids():
