@@ -72,25 +72,10 @@ tier1() {
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 }
 
-run_order() {  # the reference properties under five fixed hypothesis seeds
+seeds() {  # seeds FILE SELECTION: pytest FILE -k SELECTION under hypothesis seeds 1-5
     for seed in 1 2 3 4 5; do
         PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
-            tests/test_sim.py -k reference --hypothesis-seed="$seed"
-    done
-}
-
-keyed_cipher() {  # one encryptor and decryptor per key, five fixed hypothesis seeds
-    for seed in 1 2 3 4 5; do
-        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
-            tests/test_cipher.py -k keyed_once --hypothesis-seed="$seed"
-    done
-}
-
-config_properties() {  # mutated and valid demo configs, five fixed hypothesis seeds
-    for seed in 1 2 3 4 5; do
-        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -p no:cacheprovider \
-            tests/test_sim.py --hypothesis-seed="$seed" \
-            -k "raises_only_invalid_config_error or every_config_that_validates"
+            "$1" -k "$2" --hypothesis-seed="$seed"
     done
 }
 
@@ -182,9 +167,9 @@ bench() {  # bench WORKLOAD TRACE
 
 step "Install" install
 step "Tier-1 tests" tier1
-step "Run order (tick-by-tick and group-limit reference properties, every frame's bytes, hypothesis seeds 1-5)" run_order
-step "Keyed cipher (one encryptor and decryptor over messages that grow and shrink, against fresh calls and the reference, hypothesis seeds 1-5)" keyed_cipher
-step "Config properties (mutated demo configs end in a run or in one error line per problem, CLI included; every config that validates runs; hypothesis seeds 1-5)" config_properties
+step "Run order (tick-by-tick and group-limit reference properties, every frame's bytes, hypothesis seeds 1-5)" seeds tests/test_sim.py reference
+step "Keyed cipher (one encryptor and decryptor over messages that grow and shrink, against fresh calls and the reference, hypothesis seeds 1-5)" seeds tests/test_cipher.py keyed_once
+step "Config properties (mutated demo configs end in a run or in one error line per problem, CLI included; every config that validates runs; hypothesis seeds 1-5)" seeds tests/test_sim.py "raises_only_invalid_config_error or every_config_that_validates"
 step "Installed console script (wsncrypt entry point)" console_script
 step "Installed console script attack (3-byte key ffffff, the last lane of the last pass)" console_script_attack
 step "Attack experiment (1- to 3-byte searches, structure-blind trial rate and 64-bit years, key read off one block, effective keyspace)" attack_experiment

@@ -14,8 +14,14 @@ Per rung the script prints the node count, the milliseconds that
 `json.loads` takes to parse the network's JSON text and that
 `config_from_dict` then takes to build (and validate) the config from it,
 the median readings/s of the runs made in at least one second, and the
-peak RSS.  It checks every run's report against `workloads.expected_report`
-and exits 1 on any mismatch.
+peak RSS.  It checks every run's report against `workloads.expected_report`.
+
+It also writes the rung's network to a file, runs `python -m wsncrypt
+simulate --config FILE` on it in 3 sequential processes and prints their
+median wall time as `CLI` ms.  That includes interpreter start-up, ~43 ms
+for `python -c pass` (2-vCPU VM, CPython 3.11.7).  Each process's stdout
+must be the in-process report as `simulate` prints it.  The script exits 1
+on any mismatch.
 """
 
 import json
@@ -24,7 +30,9 @@ import os
 import random
 import resource
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 sys.path.insert(
@@ -37,14 +45,18 @@ from wsncrypt.sim import config_from_dict, report_to_dict, run_simulation  # noq
 RUNGS = ((8, 8), (32, 32), (128, 32), (512, 32), (200, 300))
 TICKS = 8
 MIN_SECONDS = 1.0
+CLI_RUNS = 3
 
 
-def measure(hubs, sensors):
+def measure(hubs, sensors, path):
     """(nodes, JSON-load ms, build ms, median readings/s, peak RSS MB, every
-    report right)."""
+    report right, the report as `simulate` prints it); writes the network's
+    JSON text to `path`."""
     text = json.dumps(workloads.network_doc(
         random.Random(f"sim-scale:{hubs}x{sensors}"), hubs, sensors, TICKS, None
     ))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
     start = time.perf_counter()
     doc = json.loads(text)
     load_ms = 1e3 * (time.perf_counter() - start)
@@ -61,27 +73,48 @@ def measure(hubs, sensors):
         rates.append(report.readings_sensed / seconds)
         correct = correct and report_to_dict(report) == expected
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    printed = json.dumps(report_to_dict(report), indent=2) + "\n"
     return (
-        len(doc["nodes"]), load_ms, build_ms, statistics.median(rates), peak_mb, correct
+        len(doc["nodes"]), load_ms, build_ms, statistics.median(rates), peak_mb,
+        correct, printed,
     )
+
+
+def cli_runs(path, printed):
+    """(median wall ms of CLI_RUNS sequential `simulate` processes, every
+    stdout equal to `printed`)."""
+    command = [sys.executable, "-m", "wsncrypt", "simulate", "--config", path]
+    walls, same = [], True
+    for _ in range(CLI_RUNS):
+        start = time.perf_counter()
+        done = subprocess.run(command, capture_output=True, text=True)
+        walls.append(1e3 * (time.perf_counter() - start))
+        same = same and done.returncode == 0 and done.stdout == printed
+    return statistics.median(walls), same
 
 
 def main():
     failed = False
     # one rung per worker process, one process at a time
-    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool, \
+            tempfile.TemporaryDirectory() as scratch:
         for hubs, sensors in RUNGS:
-            nodes, load_ms, build_ms, rate, peak_mb, correct = pool.apply(
-                measure, (hubs, sensors)
+            path = os.path.join(scratch, f"{hubs}x{sensors}.json")
+            nodes, load_ms, build_ms, rate, peak_mb, correct, printed = pool.apply(
+                measure, (hubs, sensors, path)
+            )
+            cli_ms, same = cli_runs(path, printed)
+            status = (
+                "REPORT MISMATCH" if not correct else "CLI MISMATCH" if not same else "ok"
             )
             print(
                 f"{hubs:>3}x{sensors:<3} {nodes:>6,} nodes  JSON load {load_ms:6.1f} ms"
                 f"  build {build_ms:7.1f} ms"
                 f"  {rate:>9,.0f} readings/s  peak RSS {peak_mb:6.1f} MB"
-                f"  {'ok' if correct else 'REPORT MISMATCH'}",
+                f"  CLI {cli_ms:7.1f} ms  {status}",
                 flush=True,
             )
-            failed = failed or not correct
+            failed = failed or status != "ok"
     return 1 if failed else 0
 
 

@@ -60,7 +60,7 @@ import operator
 import re
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from . import rng
 from .cipher import MAX_KEY_BYTES, decryptor, encrypt, encryptor
@@ -128,8 +128,7 @@ class InvalidConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-@dataclass(frozen=True)
-class FrameCorruption:
+class FrameCorruption(NamedTuple):
     """Flip bit `bit_index` (MSB-first across the byte stream) of the
     `frame_index`-th frame transmitted, counting every sink's frames in one
     global sequence."""
@@ -321,11 +320,11 @@ def _validate_config(config: SimConfig) -> List[str]:
                 )
         # a frame is a header, one hub batch (encrypted, same length), a checksum
         frame_bits = 8 * (HEADER_LEN + max(batches.values(), default=0) + CHECKSUM_LEN)
-        for hook in config.corruption:
+        for i, hook in enumerate(config.corruption):
             if hook.bit_index >= frame_bits:
                 problems.append(
-                    f"corruption bit {hook.bit_index} is past the longest"
-                    f" possible frame ({frame_bits} bits)"
+                    f"corruption[{i}].bit must be below the longest possible"
+                    f" frame ({frame_bits} bits), got {hook.bit_index}"
                 )
     if config.duration_ticks < 1:
         problems.append("duration_ticks must be >= 1")

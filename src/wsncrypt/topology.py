@@ -2,8 +2,9 @@
 
 A topology is a set of role-tagged nodes, undirected edges, and configured
 routes: each hub has one path to its sink, each sink one path to the single
-fusion center.  `validate_topology` returns every violation it can find
-rather than stopping at the first, so config errors surface in one pass.
+fusion center.  The lookups and `validate_topology` read one index, built
+once from one walk over the nodes and one over the edges.  Validation lists
+every violation rather than the first, so config errors surface in one pass.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from .wire import ReadingKind
 
@@ -26,8 +27,7 @@ ROLES = frozenset({ROLE_SENSOR, ROLE_HUB, ROLE_SINK, ROLE_RELAY, ROLE_FUSION})
 _NO_NEIGHBORS: FrozenSet[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     """One node; `kind` is set for sensors only, and a sensor may carry its
     own sense period overriding the config-wide one."""
 
@@ -37,63 +37,64 @@ class NodeSpec:
     sense_period_ticks: Optional[int] = None
 
 
+class _Index(NamedTuple):
+    nodes: Dict[int, NodeSpec]
+    by_role: Dict[str, Tuple[int, ...]]
+    adjacent: Dict[int, FrozenSet[int]]
+
+
 @dataclass(frozen=True)
 class Topology:
-    """Nodes, edges and routes.  Each lookup index is derived from the
-    fields on first use and kept; lookups hand out read-only views of it."""
+    """Nodes, edges and routes, and one index derived on first use and kept:
+    the node map (the last of equal ids wins), each role's ids in node order
+    and the frozen adjacency.  Lookups hand out read-only views of it."""
 
     nodes: Tuple[NodeSpec, ...]
     edges: Tuple[Tuple[int, int], ...]
     routes: Dict[int, Tuple[int, ...]]
 
     @cached_property
-    def _node_index(self) -> Dict[int, NodeSpec]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
-    def _adjacency(self) -> Dict[int, FrozenSet[int]]:
+    def _index(self) -> _Index:
+        nodes: Dict[int, NodeSpec] = {}
+        by_role: Dict[str, List[int]] = {}
+        for node in self.nodes:
+            nodes[node.id] = node
+            by_role.setdefault(node.role, []).append(node.id)
         adjacent: Dict[int, Set[int]] = {}
         for a, b in self.edges:
             adjacent.setdefault(a, set()).add(b)
             adjacent.setdefault(b, set()).add(a)
-        return {node: frozenset(near) for node, near in adjacent.items()}
-
-    @cached_property
-    def _edge_index(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
-
-    @cached_property
-    def _role_index(self) -> Dict[str, Tuple[int, ...]]:
-        by_role: Dict[str, List[int]] = {}
-        for n in self.nodes:
-            by_role.setdefault(n.role, []).append(n.id)
-        return {role: tuple(ids) for role, ids in by_role.items()}
+        return _Index(
+            nodes,
+            {role: tuple(ids) for role, ids in by_role.items()},
+            {node: frozenset(near) for node, near in adjacent.items()},
+        )
 
     @cached_property
     def _hub_sensors(self) -> Dict[int, Tuple[NodeSpec, ...]]:
-        nodes = self._node_index
+        nodes, by_role, adjacent = self._index
         return {
             hub_id: tuple(
-                nodes[near] for near in sorted(self.neighbors(hub_id))
+                nodes[near] for near in sorted(adjacent.get(hub_id, _NO_NEIGHBORS))
                 if nodes[near].role == ROLE_SENSOR
             )
-            for hub_id in self.ids_with_role(ROLE_HUB)
+            for hub_id in by_role.get(ROLE_HUB, ())
         }
 
     def node_map(self) -> Mapping[int, NodeSpec]:
-        return MappingProxyType(self._node_index)
+        return MappingProxyType(self._index.nodes)
 
     def edge_set(self) -> FrozenSet[Tuple[int, int]]:
-        return self._edge_index
+        return frozenset((min(a, b), max(a, b)) for a, b in self.edges)
 
     def neighbors(self, node_id: int) -> FrozenSet[int]:
-        return self._adjacency.get(node_id, _NO_NEIGHBORS)
+        return self._index.adjacent.get(node_id, _NO_NEIGHBORS)
 
     def ids_with_role(self, role: str) -> Tuple[int, ...]:
-        return self._role_index.get(role, ())
+        return self._index.by_role.get(role, ())
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self.neighbors(a)
+        return b in self._index.adjacent.get(a, _NO_NEIGHBORS)
 
     def hub_sensors(self) -> Mapping[int, Tuple[NodeSpec, ...]]:
         """Each hub's adjacent sensors in id order, by hub in node order.
@@ -102,10 +103,8 @@ class Topology:
 
 
 def validate_topology(topology: Topology) -> List[str]:
-    """Check every structural invariant; returns the full violation list.
-
-    An empty list means the topology is acceptable.
-    """
+    """Check every structural invariant against the topology's index;
+    returns the full violation list, empty for an acceptable topology."""
     problems: List[str] = []
     seen_ids = set()
     for node in topology.nodes:
@@ -119,10 +118,8 @@ def validate_topology(topology: Topology) -> List[str]:
         if node.role == ROLE_SENSOR:
             if node.kind is None:
                 problems.append(f"sensor {node.id} has no reading kind")
-            if (
-                node.sense_period_ticks is not None
-                and node.sense_period_ticks < 1
-            ):
+            period = node.sense_period_ticks
+            if period is not None and period < 1:
                 problems.append(f"sensor {node.id} has non-positive period")
         else:
             if node.kind is not None:
@@ -130,7 +127,7 @@ def validate_topology(topology: Topology) -> List[str]:
             if node.sense_period_ticks is not None:
                 problems.append(f"non-sensor {node.id} carries a sense period")
 
-    nodes = topology.node_map()
+    nodes, by_role, adjacent = topology._index
     for a, b in topology.edges:
         for end in (a, b):
             if end not in nodes:
@@ -138,72 +135,51 @@ def validate_topology(topology: Topology) -> List[str]:
         if a == b:
             problems.append(f"self-loop edge on node {a}")
 
-    fusion_ids = topology.ids_with_role(ROLE_FUSION)
+    fusion_ids = by_role.get(ROLE_FUSION, ())
     if len(fusion_ids) == 0:
         problems.append("missing fusion center")
     elif len(fusion_ids) > 1:
         problems.append(f"multiple fusion centers: {sorted(fusion_ids)}")
 
-    hub_ids = set(topology.ids_with_role(ROLE_HUB))
-    sink_ids = set(topology.ids_with_role(ROLE_SINK))
-    route_owners = hub_ids | sink_ids
+    hub_ids = set(by_role.get(ROLE_HUB, ()))
+    sink_ids = set(by_role.get(ROLE_SINK, ()))
 
-    for sensor_id in topology.ids_with_role(ROLE_SENSOR):
-        adjacent_hubs = topology.neighbors(sensor_id) & hub_ids
-        if len(adjacent_hubs) != 1:
+    for sensor_id in by_role.get(ROLE_SENSOR, ()):
+        hubs = len(adjacent.get(sensor_id, _NO_NEIGHBORS) & hub_ids)
+        if hubs != 1:
             problems.append(
-                f"sensor {sensor_id} is adjacent to {len(adjacent_hubs)} hubs,"
-                " expected exactly 1"
+                f"sensor {sensor_id} is adjacent to {hubs} hubs, expected exactly 1"
             )
 
     for route_owner in topology.routes:
-        if route_owner not in route_owners:
+        if route_owner not in hub_ids and route_owner not in sink_ids:
             problems.append(f"route configured for non-hub/sink {route_owner}")
 
-    for hub_id in sorted(hub_ids):
-        problems.extend(
-            _check_route(topology, hub_id, "hub", sink_ids, "a sink")
-        )
-    fusion = fusion_ids[0] if len(fusion_ids) == 1 else None
-    for sink_id in sorted(sink_ids):
-        wanted = {fusion} if fusion is not None else set()
-        problems.extend(
-            _check_route(topology, sink_id, "sink", wanted, "the fusion center")
-        )
-    return problems
-
-
-def _check_route(
-    topology: Topology,
-    owner: int,
-    owner_role: str,
-    valid_ends: Set[int],
-    end_desc: str,
-) -> List[str]:
-    route = topology.routes.get(owner)
-    if route is None:
-        return [f"{owner_role} {owner} has no route"]
-    problems = []
-    if len(route) < 2:
-        problems.append(f"route of {owner_role} {owner} has fewer than 2 nodes")
-        return problems
-    if route[0] != owner:
-        problems.append(
-            f"route of {owner_role} {owner} starts at {route[0]}, not itself"
-        )
-    if valid_ends and route[-1] not in valid_ends:
-        problems.append(
-            f"route of {owner_role} {owner} ends at {route[-1]}, not {end_desc}"
-        )
-    nodes = topology.node_map()
-    for hop in route:
-        if hop not in nodes:
-            problems.append(
-                f"route of {owner_role} {owner} visits unknown node {hop}"
-            )
-    for a, b in zip(route, route[1:]):
-        if a in nodes and b in nodes and not topology.has_edge(a, b):
-            problems.append(
-                f"route of {owner_role} {owner} uses missing edge ({a}, {b})"
-            )
+    # a route's end is checked only when some node could end it
+    fusion = set(fusion_ids) if len(fusion_ids) == 1 else set()
+    for role, owners, ends, end_desc in (
+        ("hub", hub_ids, sink_ids, "a sink"),
+        ("sink", sink_ids, fusion, "the fusion center"),
+    ):
+        for owner in sorted(owners):
+            route = topology.routes.get(owner)
+            name = f"route of {role} {owner}"
+            if route is None:
+                problems.append(f"{role} {owner} has no route")
+                continue
+            if len(route) < 2:
+                problems.append(f"{name} has fewer than 2 nodes")
+                continue
+            if route[0] != owner:
+                problems.append(f"{name} starts at {route[0]}, not itself")
+            if ends and route[-1] not in ends:
+                problems.append(f"{name} ends at {route[-1]}, not {end_desc}")
+            problems += [
+                f"{name} visits unknown node {hop}" for hop in route if hop not in nodes
+            ]
+            problems += [
+                f"{name} uses missing edge ({a}, {b})"
+                for a, b in zip(route, route[1:])
+                if a in nodes and b in nodes and b not in adjacent.get(a, _NO_NEIGHBORS)
+            ]
     return problems

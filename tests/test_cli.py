@@ -921,7 +921,8 @@ def _add_video_sensors(doc, count):
     (lambda doc: _add_video_sensors(doc, 1638),
      "hub 10 worst-case batch of 65556 bytes exceeds 65535"),
     (lambda doc: doc.update(corruption=[{"frame": 0, "bit": 384}]),
-     "corruption bit 384 is past the longest possible frame (384 bits)"),
+     "corruption[0].bit must be below the longest possible frame (384 bits),"
+     " got 384"),
     (lambda doc: doc.update(duration_ticks=0), "duration_ticks must be >= 1"),
     (lambda doc: doc.update(sense_period_ticks=0),
      "sense_period_ticks must be >= 1"),
@@ -964,6 +965,26 @@ def test_each_bad_corruption_field_is_its_own_error_line(tmp_path, capsys):
     messages = [
         "corruption[0].bit must be non-negative, got -1",
         "corruption[1].frame must be non-negative, got -2",
+    ]
+    with pytest.raises(InvalidConfigError) as raised:
+        config_from_dict(doc)
+    assert raised.value.problems == messages
+    config_path = tmp_path / "invalid.json"
+    config_path.write_text(json.dumps(doc))
+    assert run(["simulate", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "".join(f"error: {message}\n" for message in messages)
+    )
+
+
+def test_each_corruption_bit_past_the_frame_is_its_own_error_line(tmp_path, capsys):
+    doc = json.loads(CONFIG_PATH.read_text())
+    doc["corruption"] = [{"frame": 0, "bit": 384}, {"frame": 1, "bit": 400}]
+    messages = [
+        f"corruption[{i}].bit must be below the longest possible frame"
+        f" (384 bits), got {bit}"
+        for i, bit in enumerate((384, 400))
     ]
     with pytest.raises(InvalidConfigError) as raised:
         config_from_dict(doc)

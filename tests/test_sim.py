@@ -129,6 +129,37 @@ def test_unknown_role_flagged():
     assert any("unknown role" in p for p in validate_topology(topo))
 
 
+def test_problems_are_listed_section_by_section():
+    # one broken rule per section: node, edge, fusion, sensor-hub, route
+    # owner, hub route and sink route
+    topo = Topology(
+        nodes=(
+            NodeSpec(1, "sensor", ReadingKind.SCALAR),
+            NodeSpec(10, "hub"),
+            NodeSpec(30, "sink"),
+            NodeSpec(40, "relay", sense_period_ticks=3),
+        ),
+        edges=((1, 40), (10, 30), (10, 77)),
+        routes={40: (40, 30), 30: (30, 40), 10: (10, 40)},
+    )
+    assert validate_topology(topo) == [
+        "non-sensor 40 carries a sense period",
+        "edge (10, 77) references unknown node 77",
+        "missing fusion center",
+        "sensor 1 is adjacent to 0 hubs, expected exactly 1",
+        "route configured for non-hub/sink 40",
+        "route of hub 10 ends at 40, not a sink",
+        "route of hub 10 uses missing edge (10, 40)",
+        "route of sink 30 uses missing edge (30, 40)",
+    ]
+
+
+def test_one_node_listed_twice_is_a_duplicate_id():
+    node = NodeSpec(20, "relay")
+    topo = Topology(nodes=(node, node), edges=(), routes={})
+    assert validate_topology(topo) == ["duplicate node id 20", "missing fusion center"]
+
+
 def test_topology_lookups_are_read_only_views():
     topo = chain_topology()
     with pytest.raises(TypeError):
@@ -1046,7 +1077,8 @@ def test_corruption_bit_past_longest_frame_is_rejected():
     with pytest.raises(InvalidConfigError) as err:
         dataclasses.replace(config, corruption=(FrameCorruption(0, 384),))
     assert err.value.problems == [
-        "corruption bit 384 is past the longest possible frame (384 bits)"
+        "corruption[0].bit must be below the longest possible frame (384 bits),"
+        " got 384"
     ]
 
 
