@@ -167,7 +167,7 @@ bench() {  # bench WORKLOAD TRACE
 
 step "Install" install
 step "Tier-1 tests" tier1
-step "Run order (tick-by-tick and group-limit reference properties, every frame's bytes, hypothesis seeds 1-5)" seeds tests/test_sim.py reference
+step "Run order (tick-by-tick and group-limit reference properties, every frame's bytes, report totals as sums over sinks, hypothesis seeds 1-5)" seeds tests/test_sim.py "reference or totals_are_the_sums_over_sinks"
 step "Keyed cipher (one encryptor and decryptor over messages that grow and shrink, against fresh calls and the reference, hypothesis seeds 1-5)" seeds tests/test_cipher.py keyed_once
 step "Config properties (mutated demo configs end in a run or in one error line per problem, CLI included; every config that validates runs; hypothesis seeds 1-5)" seeds tests/test_sim.py "raises_only_invalid_config_error or every_config_that_validates"
 step "Installed console script (wsncrypt entry point)" console_script

@@ -14,8 +14,10 @@ heap, keyed (tick it reaches its sink, sink, send order); the run sends
 every batch due before a firing tick ahead of that tick's firings, and the
 rest after the last.  A frame reaches the fusion center in the step that
 sends it: every reported fact is a sum or an AND, and its sequence number
-and corruption are fixed then.  Idle ticks are never visited, so a run
-costs time in proportion to its readings and frames, not to its ticks.
+and corruption are fixed then.  Each frame is counted once, by its sink;
+the run's totals are the sinks' sums, taken after the last frame.  Idle
+ticks are never visited, so a run costs time in proportion to its readings
+and frames, not to its ticks.
 
 Hubs are cut into hub groups: runs of consecutive hubs, in id order, with
 at most _GROUP_SENSORS sensors in all (a larger hub is a group alone).  A
@@ -23,15 +25,17 @@ cohort is the sensors of one group that share a period.  Each of their value
 words has its own 128-bit lane of one integer, so `rng.mix64_lanes` derives
 every value of a firing in a few whole-integer operations, and a group pays
 a firing's fixed cost once for all its hubs.  A firing yields each sensor's
-encoded batch record, byte for byte `sense`'s reading as `encode_readings`
-writes it; no reading is built.  Two cohorts of one group may fire on one
-tick; after the last, each hub of the group, in id order, sorts its records
-(a record starts with its node id, big-endian, so byte order is node id
-order) and sends their count and the records as its batch, byte for byte
-what `aggregate` gives.  The fusion center decrypts every frame it
-accepts and checks and counts every record of its batch, without building
-the readings (only `fusion_receive` builds them), and the run checks the
-decrypted batch against the bytes its hub sent.
+record header and value in turn, byte for byte `sense`'s reading as
+`encode_readings` writes it; no reading is built.  A cohort lists each
+hub's sensors in id order, so each hub of the group, in id order, sends the
+count of its span of the firing and one join of that span as its batch,
+byte for byte what `aggregate` gives.  Only on a tick where two cohorts of
+one group fire does each hub sort its records after the last firing (a
+record starts with its node id, big-endian, so byte order is node id
+order).  The fusion center decrypts every frame it accepts and checks and
+counts every record of its batch, without building the readings (only
+`fusion_receive` builds them), and the run checks the decrypted batch
+against the bytes its hub sent.
 
 The whole run is a pure function of SimConfig: sensor values come from the
 seeded mixer in `wsncrypt.rng` and the event order is total, so two runs of
@@ -190,16 +194,17 @@ def sense(node_id: int, kind: ReadingKind, tick: int, seed: int) -> SensorReadin
 def _cohort_sensor(
     sensors: Sequence[Tuple[int, ReadingKind]], seed: int
 ) -> Callable[[int], List[bytes]]:
-    """Sensing for a cohort: returns `at(tick)`, which equals each sensor's
-    `sense(n, k, tick, seed)` encoded as its batch record, in `sensors`
-    order, for ticks 1..0xFFFFFFFF.
+    """Sensing for a cohort: returns `at(tick)`, whose parts alternate each
+    sensor's record header and value, in `sensors` order; joined, a
+    sensor's two parts are its `sense(n, k, tick, seed)` encoded as its
+    batch record, for ticks 1..0xFFFFFFFF.
 
     Every value word of every sensor gets its own 128-bit lane of one
     integer, so a firing runs `sense`'s two mixes over all the words at once
     (`rng.mix64_lanes`) and makes one `to_bytes`.  The record headers are
     one more integer, which takes the tick into every timestamp field in one
     multiply-add, and one `struct.Struct` cuts every header and every value
-    out of the two byte strings.
+    out of the two byte strings; two slice assignments put them in turn.
     """
     stream_ids: List[int] = []  # per word, its sensor's (node_id << 32)
     steps: List[int] = []  # per word, derive_bytes's i * GOLDEN
@@ -224,7 +229,6 @@ def _cohort_sensor(
     mask = ones * rng.MASK64
     seeds = rng.mix64(seed) * ones
     size = 16 * len(steps)
-    add = operator.add
 
     def at(tick: int) -> List[bytes]:
         # each lane's stream seed, then its derive_bytes word
@@ -233,8 +237,13 @@ def _cohort_sensor(
         # big-endian, each lane's empty high half comes first: drop them
         stream = memoryview(x.to_bytes(size, "big")).cast("Q")[1::2].tobytes()
         # a u32 tick carries into no other field of a header
-        cut = parts((headers + tick * timestamps).to_bytes(head_size, "big") + stream)
-        return list(map(add, cut[:count], cut[count:]))
+        head = (headers + tick * timestamps).to_bytes(head_size, "big")
+        cut = parts(head + stream)
+        # each sensor's header, then its value
+        in_turn = [b""] * (2 * count)
+        in_turn[::2] = cut[:count]
+        in_turn[1::2] = cut[count:]
+        return in_turn
 
     return at
 
@@ -406,18 +415,11 @@ def run_simulation(config: SimConfig) -> SimReport:
         groups[-1].append(hub_id)
         size += count
     # a cohort is the sensors of one group that share a period, in (hub, id)
-    # order, and `cuts` slices each hub's readings, in group order, out of
-    # its firing.  Per cohort, its firings: ((tick, first hub), (cohort,
-    # dests, cuts)) for each multiple of its period up to `duration`
+    # order.  Per cohort, its firings: ((tick, first hub), (cohort, its
+    # sensor count, spans)) for each multiple of its period up to `duration`
     routes, latency = topology.routes, config.hop_latency_ticks
     firings = []
     for group in groups:
-        # per hub, the ticks from it to its sink (`relay`'s last entry), and
-        # that sink; routes never change
-        dests = tuple(
-            ((len(routes[hub_id]) - 1) * latency, routes[hub_id][-1])
-            for hub_id in group
-        )
         by_period: Dict[int, List[List[Tuple[int, ReadingKind]]]] = {}
         for i, hub_id in enumerate(group):
             for node in hub_sensors[hub_id]:
@@ -426,11 +428,24 @@ def run_simulation(config: SimConfig) -> SimReport:
                     by_period[period] = [[] for _ in group]
                 by_period[period][i].append((node.id, node.kind))
         for period, per_hub in by_period.items():
-            ends = list(itertools.accumulate(map(len, per_hub)))
-            cuts = tuple(map(slice, [0, *ends], ends))
-            cohort = _cohort_sensor(list(itertools.chain(*per_hub)), config.seed)
+            # per hub with sensors in the cohort, in id order: the hub, the
+            # ticks from it to its sink (`relay`'s last entry), that sink,
+            # the slice of the firing's parts that are its records, and its
+            # batch's count field; routes never change
+            spans = []
+            start = 0
+            for hub_id, sensors in zip(group, per_hub):
+                if sensors:
+                    route, end = routes[hub_id], start + 2 * len(sensors)
+                    spans.append((
+                        hub_id, (len(route) - 1) * latency, route[-1],
+                        slice(start, end), _COUNT.pack(len(sensors)),
+                    ))
+                    start = end
+            sensors = list(itertools.chain(*per_hub))
+            cohort = _cohort_sensor(sensors, config.seed)
             ticks = range(period, duration + 1, period)
-            firing = itertools.repeat((cohort, dests, cuts))
+            firing = itertools.repeat((cohort, len(sensors), tuple(spans)))
             firings.append(zip(zip(ticks, itertools.repeat(group[0])), firing))
     # each sink's cipher and the fusion center's, keyed once for the run
     seals = {sink: encryptor(key) for sink, key in config.sink_keys.items()}
@@ -438,6 +453,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     corruption: Dict[int, List[int]] = {}
     for hook in config.corruption:
         corruption.setdefault(hook.frame_index, []).append(hook.bit_index)
+    frame_indices = itertools.count()  # each frame's corruption index, in send order
     # batches bound for sinks, (arrival tick, sink, send ordinal, payload):
     # the ordinal keeps one sink's batches of one tick in the order their
     # hubs put them there, and ends every comparison before the bytes
@@ -463,18 +479,15 @@ def run_simulation(config: SimConfig) -> SimReport:
         while outbox and outbox[0][0] < until:
             _, sink_id, _, payload = heapq.heappop(outbox)
             stats = per_sink[sink_id]
-            # a sink's frame count is its next sequence number, and the
-            # run's frame count the next frame's corruption index
-            # `sink_transmit`, with the sink's cipher keyed once
-            frame = Frame(sink_id, stats.frames_sent, seals[sink_id](payload))
-            encoded = encode_frame(frame)
-            for bit in corruption.get(report.frames_sent, ()):
+            # `sink_transmit`, with the sink's cipher keyed once: a sink's
+            # frame count is its next sequence number
+            encoded = encode_frame(
+                (sink_id, stats.frames_sent, seals[sink_id](payload))
+            )
+            for bit in corruption.get(next(frame_indices), ()):
                 if bit < 8 * len(encoded):
                     encoded = _flip_bit(encoded, bit)
-            report.frames_sent += 1
             stats.frames_sent += 1
-            report.frames_delivered += 1
-            stats.frames_delivered += 1
             try:
                 plaintext, count = _receive(encoded, opener)
             except DecodeError as exc:
@@ -487,37 +500,56 @@ def run_simulation(config: SimConfig) -> SimReport:
             else:
                 if plaintext != payload:
                     report.fidelity_ok = False
-                report.readings_recovered += count
                 stats.readings_recovered += count
 
     # a batch reaches its sink a tick after it went into the outbox or later
     # (a route has a hop, latency is at least 1), and sensing never waits on
     # a frame: sending what is due before each firing tick runs each tick's
     # firings, then its frames
+    sensed = 0
     when = operator.itemgetter(0)
     for (tick, _), fired in itertools.groupby(heapq.merge(*firings, key=when), when):
         send(tick)
-        batches: List[List[bytes]] = []  # per hub of the group, its records
-        for _, (cohort, dests, cuts) in fired:
-            records = cohort(tick)
-            if batches:  # another cohort of this group fired on this tick
-                for batch, cut in zip(batches, cuts):
-                    batch += records[cut]
-            else:
-                batches = [records[cut] for cut in cuts]
-        for (transit, sink_id), batch in zip(dests, batches):
-            if not batch:
-                continue
-            report.readings_sensed += len(batch)
+        fired = [firing for _, firing in fired]
+        if len(fired) == 1:
+            # a cohort lists each hub's sensors in id order, so each span is
+            # the hub's records in `aggregate`'s order
+            cohort, readings, spans = fired[0]
+            parts = cohort(tick)
+            sensed += readings
+            for _, transit, sink_id, span, count_field in spans:
+                payload = count_field + b"".join(parts[span])
+                heapq.heappush(
+                    outbox, (tick + transit, sink_id, next(ordinals), payload)
+                )
+            continue
+        # two cohorts of the group fired: per hub, its (header, value) pairs
+        records: Dict[Tuple[int, int, int], List[Tuple[bytes, bytes]]] = {}
+        for cohort, readings, spans in fired:
+            parts = cohort(tick)
+            sensed += readings
+            for hub_id, transit, sink_id, span, _ in spans:
+                hub_parts = parts[span]
+                records.setdefault((hub_id, transit, sink_id), []).extend(
+                    zip(hub_parts[::2], hub_parts[1::2])
+                )
+        for (_, transit, sink_id), batch in sorted(records.items()):
             # cohorts arrive by period, not id.  A sensor has one hub and
-            # fires at most once a tick, so the node ids, each record's
+            # fires at most once a tick, so the node ids, each header's
             # first two bytes, big-endian, are unique: byte order is
             # _NODE_THEN_TIME order, and the batch is `aggregate`'s
             batch.sort()
-            payload = _COUNT.pack(len(batch)) + b"".join(batch)
+            payload = _COUNT.pack(len(batch)) + b"".join(itertools.chain(*batch))
             heapq.heappush(outbox, (tick + transit, sink_id, next(ordinals), payload))
     send(math.inf)
 
+    # every frame sent is delivered, and the run's totals are its sinks' sums
+    sinks = per_sink.values()
+    for stats in sinks:
+        stats.frames_delivered = stats.frames_sent
+    report.readings_sensed = sensed
+    report.frames_sent = report.frames_delivered = sum(s.frames_sent for s in sinks)
+    report.readings_recovered = sum(s.readings_recovered for s in sinks)
     return report
 
 

@@ -46,8 +46,9 @@ class _Index(NamedTuple):
 @dataclass(frozen=True)
 class Topology:
     """Nodes, edges and routes, and one index derived on first use and kept:
-    the node map (the last of equal ids wins), each role's ids in node order
-    and the frozen adjacency.  Lookups hand out read-only views of it."""
+    the node map (the last of equal ids wins), each role's distinct ids in
+    node order and the frozen adjacency.  Lookups hand out read-only views
+    of it."""
 
     nodes: Tuple[NodeSpec, ...]
     edges: Tuple[Tuple[int, int], ...]
@@ -66,7 +67,7 @@ class Topology:
             adjacent.setdefault(b, set()).add(a)
         return _Index(
             nodes,
-            {role: tuple(ids) for role, ids in by_role.items()},
+            {role: tuple(dict.fromkeys(ids)) for role, ids in by_role.items()},
             {node: frozenset(near) for node, near in adjacent.items()},
         )
 

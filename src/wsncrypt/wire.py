@@ -239,7 +239,10 @@ def decode_frame(data: bytes) -> Frame:
         raise ChecksumMismatchError(
             f"checksum {data[-1]:#04x} != computed {fold ^ data[-1]:#04x}"
         )
-    return Frame(sink_id, sequence, data[HEADER_LEN : HEADER_LEN + payload_len])
+    # as Frame(...), faster
+    return tuple.__new__(
+        Frame, (sink_id, sequence, data[HEADER_LEN : HEADER_LEN + payload_len])
+    )
 
 
 def encode_readings(readings: Sequence[SensorReading]) -> bytes:

@@ -42,6 +42,7 @@ from wsncrypt.wire import (
     COUNT_LEN,
     HEADER_LEN,
     MAX_PAYLOAD,
+    RECORD_HEADER_LEN,
     BadMagicError,
     ChecksumMismatchError,
     DecodeError,
@@ -160,6 +161,27 @@ def test_one_node_listed_twice_is_a_duplicate_id():
     assert validate_topology(topo) == ["duplicate node id 20", "missing fusion center"]
 
 
+def test_fusion_center_listed_twice_is_one_problem():
+    node = NodeSpec(99, "fusion_center")
+    topo = Topology(nodes=(node, node), edges=(), routes={})
+    assert validate_topology(topo) == ["duplicate node id 99"]
+
+
+def test_sensor_listed_twice_is_checked_against_its_hubs_once():
+    sensor = NodeSpec(1, "sensor", ReadingKind.SCALAR)
+    topo = Topology(
+        nodes=(sensor, NodeSpec(10, "hub"), sensor, NodeSpec(11, "hub"),
+               NodeSpec(30, "sink"), NodeSpec(99, "fusion_center")),
+        edges=((1, 10), (1, 11), (10, 30), (11, 30), (30, 99)),
+        routes={10: (10, 30), 11: (11, 30), 30: (30, 99)},
+    )
+    assert validate_topology(topo) == [
+        "duplicate node id 1",
+        "sensor 1 is adjacent to 2 hubs, expected exactly 1",
+    ]
+    assert topo.ids_with_role("sensor") == (1,)
+
+
 def test_topology_lookups_are_read_only_views():
     topo = chain_topology()
     with pytest.raises(TypeError):
@@ -236,10 +258,14 @@ def test_sense_values_rarely_repeat():
     0xFFFFFFFF, (1 << 64) - 1,
 )
 def test_cohort_sensing_equals_sense(cohort, tick, seed):
-    records = _cohort_sensor(cohort, seed)(tick)
-    assert records == [
+    parts = _cohort_sensor(cohort, seed)(tick)
+    records = [
         encode_readings([sense(n, k, tick, seed)])[COUNT_LEN:] for n, k in cohort
     ]
+    assert len(parts) == 2 * len(records)
+    # each sensor's record header, then its value
+    for header, value, record in zip(parts[::2], parts[1::2], records):
+        assert (len(header), header + value) == (RECORD_HEADER_LEN, record)
 
 
 # -- aggregate ----------------------------------------------------------------------
@@ -578,6 +604,22 @@ def assert_matches_reference(config):
 @given(small_networks())
 def test_event_clock_matches_tick_by_tick_reference(config):
     assert_matches_reference(config)
+
+
+@settings(deadline=None)
+@given(small_networks())
+def test_report_totals_are_the_sums_over_sinks(config):
+    report = run_simulation(config)
+    sinks = report.per_sink.values()
+    event(f"frames rejected: {bool(report.frames_rejected)}")
+    assert report.frames_sent == sum(s.frames_sent for s in sinks)
+    assert report.readings_recovered == sum(s.readings_recovered for s in sinks)
+    rejected = sum(report.frames_rejected.values())
+    assert rejected == sum(s.frames_rejected for s in sinks)
+    # every frame sent is delivered, and rejected after it is delivered
+    assert report.frames_delivered == report.frames_sent >= rejected
+    for stats in sinks:
+        assert stats.frames_delivered == stats.frames_sent >= stats.frames_rejected
 
 
 def grouped_config(hubs):

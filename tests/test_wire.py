@@ -78,6 +78,17 @@ def test_frame_contract():
             setattr(frame, name, 0)
 
 
+@given(frames)
+def test_decode_frame_returns_a_frame(frame):
+    # encode_frame takes the fields as any 3-tuple, a Frame or a plain one
+    encoded = encode_frame(frame)
+    assert encode_frame(tuple(frame)) == encoded
+    decoded = decode_frame(encoded)
+    assert type(decoded) is Frame
+    assert decoded._asdict() == frame._asdict()
+    assert repr(decoded) == repr(frame)
+
+
 def test_sequence_change_touches_only_sequence_and_checksum():
     a = encode_frame(Frame(sink_id=1, sequence=1, payload=b"xy"))
     b = encode_frame(Frame(sink_id=1, sequence=2, payload=b"xy"))
