@@ -175,7 +175,7 @@ step "Installed console script attack (3-byte key ffffff, the last lane of the l
 step "Attack experiment (1- to 3-byte searches, structure-blind trial rate and 64-bit years, key read off one block, effective keyspace)" attack_experiment
 step "Streamed file round trip (8 MiB under 1-, 3- and 32-byte keys, decrypted in place; then decrypted from a named pipe)" streamed_round_trip
 step "Demo simulation" demo_simulation
-step "Simulator scale ladder (77 to 60,301 nodes, reports against the benchmark's oracle)" sim_scale
+step "Simulator scale ladder (77 to 60,301 nodes and a rung where cohorts meet, reports against the benchmark's oracle)" sim_scale
 step "Benchmark tests" benchmark_tests
 step "Benchmark smoke run (fails on any pin or oracle mismatch)" bench sim-sparse 0
 step "Sim-wide benchmark smoke run (untraced per-reading path against the pins)" bench sim-wide 0

@@ -63,6 +63,7 @@ import math
 import operator
 import re
 import struct
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
@@ -320,7 +321,13 @@ def _validate_config(config: SimConfig) -> List[str]:
     topology = config.topology
     problems = validate_topology(topology)
     if not problems:
-        batches = _worst_case_batches(topology)
+        # each hub's batch when every adjacent sensor fires in one tick
+        batches = {
+            hub_id: COUNT_LEN + sum(
+                RECORD_HEADER_LEN + VALUE_LENGTHS[sensor.kind] for sensor in sensors
+            )
+            for hub_id, sensors in topology.hub_sensors().items()
+        }
         for hub_id, size in batches.items():
             if size > MAX_PAYLOAD:
                 problems.append(
@@ -362,17 +369,6 @@ def _validate_config(config: SimConfig) -> List[str]:
                     f"corruption[{i}].{name} must be non-negative, got {index}"
                 )
     return problems
-
-
-def _worst_case_batches(topology: Topology) -> Dict[int, int]:
-    """Bytes of each hub's batch when every adjacent sensor fires in one
-    tick.  Needs a valid topology."""
-    return {
-        hub_id: COUNT_LEN + sum(
-            RECORD_HEADER_LEN + VALUE_LENGTHS[sensor.kind] for sensor in sensors
-        )
-        for hub_id, sensors in topology.hub_sensors().items()
-    }
 
 
 def _flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -420,29 +416,28 @@ def run_simulation(config: SimConfig) -> SimReport:
     routes, latency = topology.routes, config.hop_latency_ticks
     firings = []
     for group in groups:
-        by_period: Dict[int, List[List[Tuple[int, ReadingKind]]]] = {}
-        for i, hub_id in enumerate(group):
+        # per period, from each hub with sensors of that period to those
+        # sensors; hubs and sensors in id order
+        by_period = defaultdict(lambda: defaultdict(list))
+        for hub_id in group:
             for node in hub_sensors[hub_id]:
                 period = node.sense_period_ticks or config.sense_period_ticks
-                if period not in by_period:
-                    by_period[period] = [[] for _ in group]
-                by_period[period][i].append((node.id, node.kind))
+                by_period[period][hub_id].append((node.id, node.kind))
         for period, per_hub in by_period.items():
-            # per hub with sensors in the cohort, in id order: the hub, the
-            # ticks from it to its sink (`relay`'s last entry), that sink,
-            # the slice of the firing's parts that are its records, and its
-            # batch's count field; routes never change
+            # per hub in the cohort: the hub, the ticks from it to its sink
+            # (`relay`'s last entry), that sink, the slice of the firing's
+            # parts that are its records, and its batch's count field;
+            # routes never change
+            sensors: List[Tuple[int, ReadingKind]] = []
             spans = []
-            start = 0
-            for hub_id, sensors in zip(group, per_hub):
-                if sensors:
-                    route, end = routes[hub_id], start + 2 * len(sensors)
-                    spans.append((
-                        hub_id, (len(route) - 1) * latency, route[-1],
-                        slice(start, end), _COUNT.pack(len(sensors)),
-                    ))
-                    start = end
-            sensors = list(itertools.chain(*per_hub))
+            for hub_id, members in per_hub.items():
+                route = routes[hub_id]
+                spans.append((
+                    hub_id, (len(route) - 1) * latency, route[-1],
+                    slice(2 * len(sensors), 2 * (len(sensors) + len(members))),
+                    _COUNT.pack(len(members)),
+                ))
+                sensors += members
             cohort = _cohort_sensor(sensors, config.seed)
             ticks = range(period, duration + 1, period)
             firing = itertools.repeat((cohort, len(sensors), tuple(spans)))
@@ -636,10 +631,10 @@ def _walk(value, shape, path, step):
     _Malformed for its first value that does not fit.  The shapes come in the
     order of how often a valid config meets them here."""
     if type(shape) is tuple:  # (int, int), the one pair shape
-        try:
-            a, b = value
-        except (TypeError, ValueError):  # not iterable, or not 2 items
-            raise _Malformed((path, step), "must be a pair of node ids") from None
+        # only a JSON array: a string or object of 2 items would unpack too
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise _Malformed((path, step), "must be a pair of node ids")
+        a, b = value
         if type(a) is int and type(b) is int:
             return a, b
         return _walk(a, int, (path, step), 0), _walk(b, int, (path, step), 1)

@@ -133,15 +133,10 @@ class Frame(NamedTuple):
     payload: bytes = b""
 
 
-# xor_fold's passes: _FOLDS holds (shift, mask) for halves of 2**k bytes, k
-# from _FOLD_MAX_K down to 0, and _FOLD_PASSES[b] its last b passes, the
-# ones that fold up to 2**b lanes.  Wider masks would serve only frames
-# longer than 2 KiB, which are first halved to that size with masks built
-# as they go.
-_FOLD_MAX_K = 10
-_FOLD_TABLE_LANES = 2 << _FOLD_MAX_K
-_FOLDS = tuple((8 << k, (1 << (8 << k)) - 1) for k in range(_FOLD_MAX_K, -1, -1))
-_FOLD_PASSES = tuple(_FOLDS[len(_FOLDS) - b :] for b in range(len(_FOLDS) + 1))
+# xor_fold's (shift, mask) passes for 2**b byte lanes, keyed by b.  An entry
+# is built whole the first time an input length needs it, so the masks total
+# less than four times the longest input's bytes.
+_FOLD_PASSES: dict = {}
 
 # each byte value as a one-byte bytes, the checksum encode_frame appends
 _BYTE = tuple(bytes((b,)) for b in range(256))
@@ -153,13 +148,15 @@ def xor_fold(data: bytes) -> int:
         data = _as_bytes(data)
     # XOR the top half of the byte lanes onto the bottom half until one lane
     # is left: each pass keeps the XOR of all lanes, in log2(len) big-int ops
+    bits = (len(data) - 1).bit_length()
+    try:
+        passes = _FOLD_PASSES[bits]
+    except KeyError:
+        passes = _FOLD_PASSES[bits] = tuple(
+            (8 << k, (1 << (8 << k)) - 1) for k in range(bits - 1, -1, -1)
+        )
     acc = int.from_bytes(data, "big")
-    lanes = len(data)
-    while lanes > _FOLD_TABLE_LANES:
-        lanes = (lanes + 1) // 2
-        shift = 8 * lanes
-        acc = (acc >> shift) ^ (acc & ((1 << shift) - 1))
-    for shift, mask in _FOLD_PASSES[(lanes - 1).bit_length()]:
+    for shift, mask in passes:
         acc = (acc >> shift) ^ (acc & mask)
     return acc
 

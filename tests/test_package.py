@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from test_cli import _child_env
+from test_cli import ROOT, _child_env
 
 import wsncrypt
 
@@ -58,3 +58,20 @@ def test_unknown_name_raises_the_standard_attribute_error():
         wsncrypt.no_such_name
     with pytest.raises(ImportError, match=r"cannot import name 'no_such_name'"):
         from wsncrypt import no_such_name  # noqa: F401
+
+
+def test_every_traced_name_resolves():
+    # the benchmark traces each per_layer target (a name less its metric
+    # suffix), looked up as the submodule's attribute or else its Topology's;
+    # a deleted or renamed one would fail only the benchmark's traced run
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
+        names = [metric["name"] for metric in json.load(handle)["per_layer"]]
+    targets = sorted({name.rsplit(".", 1)[0] for name in names} - {"trace"})
+    missing = []
+    for target in targets:
+        module_name, attr = target.split(".")
+        module = getattr(wsncrypt, module_name)
+        owner = module if hasattr(module, attr) else getattr(module, "Topology", None)
+        if not callable(getattr(owner, attr, None)):
+            missing.append(target)
+    assert targets and missing == []

@@ -924,6 +924,8 @@ def test_config_errors_name_the_field_or_the_kind(field, value, message):
     ("nodes.0.sense_period_ticks", 1.5,
      "nodes[0].sense_period_ticks must be an integer, got 1.5"),
     ("edges.0.1", 1.5, "edges[0][1] must be an integer, got 1.5"),
+    ("edges.0", "12", "edges[0] must be a pair of node ids"),
+    ("edges.0", {"1": 2, "3": 4}, "edges[0] must be a pair of node ids"),
     ("routes", {"10": [10, "30"], "30": [30, 20, 99]},
      "routes['10'][1] must be an integer, got '30'"),
     ("routes", {"10": [10, 30], "030": [30, 20, 99]},
@@ -935,8 +937,9 @@ def test_config_errors_name_the_field_or_the_kind(field, value, message):
     ("nodes.0.sense_period_tick", 5, "nodes[0] has unknown field 'sense_period_tick'"),
     ("corruption", [{"frame": 0, "bit": 1, "byte": 0}],
      "corruption[0] has unknown field 'byte'"),
-], ids=["node-id", "node-period", "edge-end", "route-node", "route-key", "seed",
-        "latency", "corruption-bit", "node-typo", "corruption-typo"])
+], ids=["node-id", "node-period", "edge-end", "edge-string", "edge-object",
+        "route-node", "route-key", "seed", "latency", "corruption-bit", "node-typo",
+        "corruption-typo"])
 def test_config_errors_name_the_value_by_its_path(field, value, message):
     with pytest.raises(InvalidConfigError) as err:
         config_from_dict(_set(field, value))
