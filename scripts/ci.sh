@@ -169,6 +169,7 @@ step "Install" install
 step "Tier-1 tests" tier1
 step "Run order (tick-by-tick and group-limit reference properties, every frame's bytes, report totals as sums over sinks, hypothesis seeds 1-5)" seeds tests/test_sim.py "reference or totals_are_the_sums_over_sinks"
 step "Keyed cipher (one encryptor and decryptor over messages that grow and shrink, against fresh calls and the reference, hypothesis seeds 1-5)" seeds tests/test_cipher.py keyed_once
+step "Keystream expansion (recover_keystream against the bit-list definition, a recurring window without a period refused, one bit list held at a time; hypothesis seeds 1-5)" seeds tests/test_keyspace.py "keystream_matches_bit_list or recurs or one_bit_list"
 step "Config properties (mutated demo configs end in a run or in one error line per problem, CLI included; every config that validates runs; hypothesis seeds 1-5)" seeds tests/test_sim.py "raises_only_invalid_config_error or every_config_that_validates"
 step "Installed console script (wsncrypt entry point)" console_script
 step "Installed console script attack (3-byte key ffffff, the last lane of the last pass)" console_script_attack

@@ -182,8 +182,13 @@ def _stream_map(stream_key: bytes):
         if type(data) is not bytes:
             data = _as_bytes(data)
         n = len(data)
-        if out is not None and len(out) < n:  # see `encrypt`
-            raise ValueError(f"out holds {len(out)} of the message's {n} bytes")
+        if out is not None:  # see `encrypt`; measured and filled in bytes
+            if type(out) is not bytearray:  # a strided view is taken as it is
+                out = memoryview(out)
+                if out.c_contiguous:
+                    out = out.cast("B")
+            if len(out) < n:
+                raise ValueError(f"out holds {len(out)} of the message's {n} bytes")
         if step == 1:
             result = data.translate(table)
         elif n < _BULK:

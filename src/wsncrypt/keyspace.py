@@ -159,8 +159,9 @@ def recover_keystream(known_plaintext: bytes, ciphertext: bytes) -> List[int]:
     n = len(raw)
     period = _key_period(raw)
     bits = bytes_to_bits(raw[:period])
-    # in place: a trimmed copy of the block's list costs more than it saves
-    bits *= -(-n // period)
+    if period == n:  # `bits * 1` would copy the whole block's list
+        return bits
+    bits = bits * -(-n // period)  # one allocation at its final size
     del bits[8 * n:]
     return bits
 

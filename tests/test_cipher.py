@@ -1,5 +1,6 @@
 import functools
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,13 +328,29 @@ def test_out_holds_the_bytes_of_a_call_without_it(size, key_len, wrap, cipher):
 @pytest.mark.parametrize("key_len", [1, 3, 32])
 @pytest.mark.parametrize("cipher", [encrypt, decrypt])
 def test_out_may_be_a_memoryview(size, key_len, cipher):
-    # the bulk path ciphers into a bytearray and copies it into the view once
+    # the bulk path ciphers into a bytearray and copies it into the view once;
+    # a view of wider items is measured and filled in bytes all the same
     rng = random.Random(size * 33 + key_len)
     message, key = rng.randbytes(size), rng.randbytes(key_len)
-    buffer = bytearray(b"\xa5" * (size + 8))
-    result = cipher(message, key, out=memoryview(buffer))
-    assert result == cipher(message, key)
-    assert buffer == cipher(message, key) + b"\xa5" * 8
+    expected = cipher(message, key)
+    for fmt in "BHQ":
+        width = struct.calcsize(fmt)
+        buffer = bytearray(b"\xa5" * (-(-(size + 8) // width) * width))
+        result = cipher(message, key, out=memoryview(buffer).cast(fmt))
+        assert result == expected, fmt
+        assert buffer == expected + b"\xa5" * (len(buffer) - size), fmt
+
+
+@pytest.mark.parametrize("size", OUT_SIZES)
+@pytest.mark.parametrize("cipher", [encrypt, decrypt])
+def test_out_may_be_a_strided_view(size, cipher):
+    # a view that is not one run of bytes is filled item by item
+    rng = random.Random(size)
+    message, key = rng.randbytes(size), rng.randbytes(3)
+    buffer = bytearray(b"\xa5" * (2 * size))
+    result = cipher(message, key, out=memoryview(buffer)[::2])
+    assert result == buffer[::2] == cipher(message, key)
+    assert buffer[1::2] == b"\xa5" * size
 
 
 @pytest.mark.parametrize("size", OUT_SIZES)

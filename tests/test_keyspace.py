@@ -2,6 +2,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,6 +248,27 @@ def test_one_mib_block_matches_bit_list_definition(pair):
             plaintext[i:i + step], ciphertext[i:i + step]
         )
         assert stream[8 * i:8 * (i + step)] == expected
+
+
+@pytest.mark.parametrize("pair", [True, False], ids=["pair", "non-pair"])
+def test_recover_keystream_holds_one_bit_list_at_a_time(pair):
+    """No second copy of the whole list: the peak is the list of 8n slots,
+    or 1.5 times it for a non-pair block, whose expansion joins n bytes
+    objects with an 80-byte buffer record each; a copy would make it 2."""
+    rng = random.Random(1 << 16)
+    plaintext = rng.randbytes(1 << 16)
+    if pair:
+        ciphertext = encrypt(plaintext, rng.randbytes(19))
+    else:
+        ciphertext = rng.randbytes(1 << 16)
+    tracemalloc.start()
+    try:
+        stream = recover_keystream(plaintext, ciphertext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == 8 << 16
+    assert peak < 1.75 * 8 * len(stream)  # one pointer per bit
 
 
 # -- recover_key --------------------------------------------------------------------
